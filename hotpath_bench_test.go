@@ -5,14 +5,12 @@
 // the pre-refactor executor — the retained bpu.ReferenceUnit behind the
 // original per-branch cost arithmetic, polar-method jitter, and
 // per-event counter updates — measured in the same run as the live
-// path, so the reported speedup is machine-independent. Results go to
-// BENCH_hotpath.json; CI runs TestHotpathGuardrail and fails on
-// regression below the gate.
+// path, so the reported speedup is machine-independent. With -update
+// the results go to BENCH_hotpath.json; CI runs TestHotpathGuardrail
+// and fails on regression below the gate.
 package branchscope_test
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"branchscope/internal/bpu"
@@ -187,10 +185,11 @@ func TestReadBitZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestHotpathGuardrail measures the three executors in one run and
-// writes BENCH_hotpath.json. The gate: the batched path must be at
-// least minSpeedup times faster per branch than the pre-refactor
-// baseline, and the steady-state probe path must not allocate.
+// TestHotpathGuardrail measures the three executors in one run and,
+// under -update, writes BENCH_hotpath.json. The gate: the batched path
+// must be at least minSpeedup times faster per branch than the
+// pre-refactor baseline, and the steady-state probe path must not
+// allocate.
 func TestHotpathGuardrail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guardrail skipped in -short mode")
@@ -239,13 +238,7 @@ func TestHotpathGuardrail(t *testing.T) {
 		Sites:              hotpathSites,
 		Pass:               pass,
 	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_hotpath.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatalf("writing BENCH_hotpath.json: %v", err)
-	}
+	writeBenchReport(t, "BENCH_hotpath.json", report)
 	t.Logf("legacy %.1f ns/branch, serial %.1f, batched %.1f: speedup %.2fx, ReadBit allocs %.1f",
 		legacyNs, serialNs, batchedNs, speedup, allocs)
 	if speedup < minSpeedup {

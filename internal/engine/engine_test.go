@@ -96,7 +96,8 @@ func TestMapBoundsConcurrency(t *testing.T) {
 	ctx := WithPool(context.Background(), NewPool(workers))
 	var cur, max atomic.Int64
 	var mu sync.Mutex
-	_, err := Map(ctx, 40, func(i int) (int, error) {
+	// busy counts itself as one running item while it sleeps.
+	busy := func() {
 		n := cur.Add(1)
 		mu.Lock()
 		if n > max.Load() {
@@ -105,19 +106,45 @@ func TestMapBoundsConcurrency(t *testing.T) {
 		mu.Unlock()
 		time.Sleep(time.Millisecond)
 		cur.Add(-1)
-		return 0, nil
+	}
+	t.Run("flat", func(t *testing.T) {
+		max.Store(0)
+		_, err := Map(ctx, 40, func(i int) (int, error) {
+			busy()
+			return 0, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := max.Load(); m > workers {
+			t.Errorf("observed %d concurrent items, pool bound is %d", m, workers)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := max.Load(); m > workers {
-		t.Errorf("observed %d concurrent items, pool bound is %d", m, workers)
-	}
+	t.Run("nested", func(t *testing.T) {
+		// Outer items work, then fan out over the same pool: helpers of
+		// the inner Maps only come from free slots, so the bound holds
+		// across both levels.
+		max.Store(0)
+		_, err := Map(ctx, 8, func(i int) ([]int, error) {
+			busy()
+			return Map(ctx, 6, func(j int) (int, error) {
+				busy()
+				return 0, nil
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := max.Load(); m > workers {
+			t.Errorf("observed %d concurrent items under nested Map, pool bound is %d", m, workers)
+		}
+	})
 }
 
 func TestMapNestedDoesNotDeadlock(t *testing.T) {
-	// Nested Map over the same pool: caller-runs overflow must keep this
-	// from deadlocking even when every slot is held by an outer item.
+	// Nested Map over the same pool: non-blocking slot acquisition must
+	// keep this from deadlocking even when every slot is held by a
+	// helper draining the outer cursor.
 	ctx := WithPool(context.Background(), NewPool(2))
 	done := make(chan struct{})
 	go func() {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -92,5 +93,44 @@ func TestMapMidRunCancellation(t *testing.T) {
 				g, baseline, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestMapSharesWorkPastLongItem: a long item must not keep the pool
+// from running the rest. On NewPool(2) item 1 blocks until every other
+// item has finished, and item 0 holds its goroutine until item 1 has
+// started, so the two run on different goroutines. Whoever is left
+// free must drain items 2..n-1 while item 1 blocks; a pool whose slot
+// goroutine runs a single item and exits, leaving the rest to a caller
+// stuck on item 1, never finishes.
+func TestMapSharesWorkPastLongItem(t *testing.T) {
+	ctx := WithPool(context.Background(), NewPool(2))
+	const n = 6
+	var others sync.WaitGroup
+	others.Add(n - 1)
+	longStarted := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := Map(ctx, n, func(i int) (int, error) {
+			switch i {
+			case 0:
+				<-longStarted
+			case 1:
+				close(longStarted)
+				others.Wait()
+				return i, nil
+			}
+			others.Done()
+			return i, nil
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Map stalled: no goroutine drained the items queued behind a long one")
 	}
 }

@@ -60,9 +60,10 @@ type Config struct {
 	// Tasks is the full task registry jobs select from, in registry
 	// order (an empty spec task list runs all of them, like the CLI).
 	Tasks []engine.Task
-	// Pool is the shared execution pool all jobs run on. Caller-runs
-	// overflow (see engine.Pool) means a saturated pool degrades
-	// parallelism, never liveness, so jobs cannot deadlock each other.
+	// Pool is the shared execution pool all jobs run on. Slots are
+	// taken without blocking and each job's own goroutine always works
+	// its share (see engine.Pool), so a saturated pool degrades
+	// parallelism, never liveness, and jobs cannot deadlock each other.
 	Pool *engine.Pool
 	// ArchiveDir, when set, archives each completed job under
 	// <ArchiveDir>/<tenant>/<run-id>/ via runstore.Archiver.
@@ -514,7 +515,7 @@ func (s *Service) startLocked(j *job) {
 
 // run executes one job in its own isolated simulator instance: its own
 // runner, breaker set, retry policy, deadline context and panic
-// recovery, sharing only the caller-runs pool with other jobs.
+// recovery, sharing only the work-sharing pool with other jobs.
 func (s *Service) run(j *job, ctx context.Context, cancel context.CancelFunc) {
 	defer s.wg.Done()
 	defer cancel()

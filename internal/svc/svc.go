@@ -21,9 +21,10 @@
 // process-wide defaults), deadline context and panic recovery, so one
 // tenant's pathological spec — a chaos storm, an exhausted retry
 // budget, a watchdog-stuck task — can never stall or corrupt another
-// tenant's results. The shared pool uses caller-runs overflow (see
-// engine.Pool), so a saturated pool degrades parallelism, never
-// liveness: every job goroutine always makes progress on its own.
+// tenant's results. The shared pool never blocks on a slot (see
+// engine.Pool): helpers join a job's fan-out only from free slots, so a
+// saturated pool degrades parallelism, never liveness, and every job
+// goroutine always makes progress on its own.
 //
 // Jobs stream per-task progress and row results as branchscope.ledger/v1
 // JSONL (GET /jobs/{id}/stream), archive through runstore.Archiver

@@ -7,6 +7,7 @@ package branchscope_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -16,7 +17,25 @@ import (
 	"branchscope/internal/experiments"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
+var updateGolden = flag.Bool("update", false,
+	"rewrite golden files under testdata/ and the BENCH_*.json guardrail reports")
+
+// writeBenchReport writes a guardrail's measurements to path as
+// indented JSON, only under -update: a plain `go test ./...` leaves the
+// pinned reports in the tree untouched.
+func writeBenchReport(t *testing.T, path string, report any) {
+	t.Helper()
+	if !*updateGolden {
+		return
+	}
+	out, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+		t.Fatalf("writing %s: %v", path, err)
+	}
+}
 
 // fastIDs is the subset of experiments cheap enough (~10ms each at quick
 // scale) to re-run at several parallelism levels in every test run; the

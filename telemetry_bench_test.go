@@ -3,14 +3,12 @@
 // telemetry set is attached. The pair of benchmarks below measures the
 // same covert run with telemetry disabled (nil set — the default for
 // every library user) and fully enabled (registry + tracer); the
-// guardrail test compares them with testing.Benchmark and emits
-// BENCH_telemetry.json so CI history can track the ratio.
+// guardrail test compares them with testing.Benchmark and, under
+// -update, emits BENCH_telemetry.json so CI history can track the ratio.
 package branchscope_test
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"testing"
 
 	"branchscope/internal/experiments"
@@ -71,8 +69,8 @@ func BenchmarkNilCounterInc(b *testing.B) {
 // TestTelemetryOverheadGuardrail asserts the disabled-telemetry path is
 // not paying for the instrumentation: the nil-set covert run must not be
 // slower than the fully-enabled run beyond noise, and a nil counter
-// increment must stay in fast-inlined-call territory. Results go to
-// BENCH_telemetry.json in the repo root.
+// increment must stay in fast-inlined-call territory. With -update the
+// results go to BENCH_telemetry.json in the repo root.
 func TestTelemetryOverheadGuardrail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guardrail skipped in -short mode")
@@ -117,13 +115,7 @@ func TestTelemetryOverheadGuardrail(t *testing.T) {
 		Bits:                benchCovertConfig(nil).Bits,
 		Pass:                pass,
 	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_telemetry.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatalf("writing BENCH_telemetry.json: %v", err)
-	}
+	writeBenchReport(t, "BENCH_telemetry.json", report)
 	t.Logf("disabled %d ns/op, enabled %d ns/op (ratio %.3f), nil Inc %.2f ns",
 		disabled.NsPerOp(), enabled.NsPerOp(), ratio, nilNs)
 	if ratio > maxRatio {
