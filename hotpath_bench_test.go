@@ -5,19 +5,22 @@
 // the pre-refactor executor — the retained bpu.ReferenceUnit behind the
 // original per-branch cost arithmetic, polar-method jitter, and
 // per-event counter updates — measured in the same run as the live
-// path, so the reported speedup is machine-independent. With -update
+// path, in interleaved rounds, so the reported speedup is
+// machine-independent and robust to host drift. With -update
 // the results go to BENCH_hotpath.json; CI runs TestHotpathGuardrail
 // and fails on regression below the gate.
 package branchscope_test
 
 import (
 	"testing"
+	"time"
 
 	"branchscope/internal/bpu"
 	"branchscope/internal/core"
 	"branchscope/internal/cpu"
 	"branchscope/internal/rng"
 	"branchscope/internal/sched"
+	"branchscope/internal/stats"
 	"branchscope/internal/uarch"
 	"branchscope/internal/victims"
 )
@@ -107,44 +110,59 @@ func hotpathAddr(i int) uint64 {
 	return 0x6100_0000 + uint64(i%hotpathSites)*20
 }
 
-// BenchmarkHotpathLegacy measures the pre-refactor per-branch cost via
-// the retained reference implementation.
-func BenchmarkHotpathLegacy(b *testing.B) {
+// The three executors, each as a loop that executes n branches of the
+// working set. The benchmarks below and the guardrail's interleaved
+// rounds run the same loops.
+
+func newLegacyLoop() func(n int) {
 	m := newLegacyMachine(42)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.branch(1, hotpathAddr(i), i%3 == 0)
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			m.branch(1, hotpathAddr(i), i%3 == 0)
+		}
 	}
 }
 
-// BenchmarkHotpathSerial measures the live per-call Branch path.
-func BenchmarkHotpathSerial(b *testing.B) {
-	mach := uarch.Skylake().NewCore(42)
-	ctx := mach.NewContext(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx.Branch(hotpathAddr(i), i%3 == 0)
+func newSerialLoop() func(n int) {
+	ctx := uarch.Skylake().NewCore(42).NewContext(1)
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			ctx.Branch(hotpathAddr(i), i%3 == 0)
+		}
 	}
 }
 
-// BenchmarkHotpathBatched measures the live batched ExecPlan path: the
-// working set compiled once, executed b.N/hotpathSites times. ns/op is
-// per branch, like the other two.
-func BenchmarkHotpathBatched(b *testing.B) {
-	mach := uarch.Skylake().NewCore(42)
-	ctx := mach.NewContext(1)
+// newBatchedLoop compiles the working set once and executes it
+// n/hotpathSites times, so n still counts branches.
+func newBatchedLoop() func(n int) {
+	ctx := uarch.Skylake().NewCore(42).NewContext(1)
 	plan := ctx.NewPlan(hotpathSites)
 	for i := 0; i < hotpathSites; i++ {
 		plan.Branch(hotpathAddr(i), i%3 == 0)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += hotpathSites {
-		plan.Run()
+	return func(n int) {
+		for i := 0; i < n; i += hotpathSites {
+			plan.Run()
+		}
 	}
 }
+
+func benchHotpath(b *testing.B, run func(n int)) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+}
+
+// BenchmarkHotpathLegacy measures the pre-refactor per-branch cost via
+// the retained reference implementation.
+func BenchmarkHotpathLegacy(b *testing.B) { benchHotpath(b, newLegacyLoop()) }
+
+// BenchmarkHotpathSerial measures the live per-call Branch path.
+func BenchmarkHotpathSerial(b *testing.B) { benchHotpath(b, newSerialLoop()) }
+
+// BenchmarkHotpathBatched measures the live batched ExecPlan path. ns/op
+// is per branch, like the other two.
+func BenchmarkHotpathBatched(b *testing.B) { benchHotpath(b, newBatchedLoop()) }
 
 // readBitSession builds the steady-state resilient-read workload: a
 // focused-block attack session against a looping victim.
@@ -185,11 +203,27 @@ func TestReadBitZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestHotpathGuardrail measures the three executors in one run and,
-// under -update, writes BENCH_hotpath.json. The gate: the batched path
-// must be at least minSpeedup times faster per branch than the
-// pre-refactor baseline, and the steady-state probe path must not
-// allocate.
+// Guardrail rounds: each round times every executor over the same
+// number of branches, so host drift (frequency scaling, a noisy
+// neighbour) lands on both sides of a round's ratio instead of on
+// whichever benchmark happened to run during it.
+const (
+	hotpathRounds        = 21
+	hotpathRoundBranches = 1 << 18
+)
+
+// nsPerBranch times one hotpathRoundBranches run of an executor.
+func nsPerBranch(run func(n int)) float64 {
+	start := time.Now()
+	run(hotpathRoundBranches)
+	return float64(time.Since(start).Nanoseconds()) / hotpathRoundBranches
+}
+
+// TestHotpathGuardrail measures the three executors in interleaved
+// rounds and, under -update, writes BENCH_hotpath.json. The gate: the
+// median over rounds of the per-round ratio must show the batched path
+// at least minSpeedup times faster per branch than the pre-refactor
+// baseline, and the steady-state probe path must not allocate.
 func TestHotpathGuardrail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guardrail skipped in -short mode")
@@ -198,14 +232,25 @@ func TestHotpathGuardrail(t *testing.T) {
 		t.Skip("benchmark guardrail skipped under the race detector")
 	}
 
-	legacy := testing.Benchmark(BenchmarkHotpathLegacy)
-	serial := testing.Benchmark(BenchmarkHotpathSerial)
-	batched := testing.Benchmark(BenchmarkHotpathBatched)
-
-	legacyNs := float64(legacy.T.Nanoseconds()) / float64(legacy.N)
-	serialNs := float64(serial.T.Nanoseconds()) / float64(serial.N)
-	batchedNs := float64(batched.T.Nanoseconds()) / float64(batched.N)
-	speedup := legacyNs / batchedNs
+	loops := []func(n int){newLegacyLoop(), newSerialLoop(), newBatchedLoop()}
+	for _, run := range loops {
+		run(hotpathRoundBranches / 8) // warm caches and the branch working set
+	}
+	ns := make([][]float64, len(loops)) // per executor, per round
+	ratios := make([]float64, hotpathRounds)
+	for round := range ratios {
+		// Alternate the order so no executor always runs first.
+		for j := range loops {
+			k := j
+			if round%2 == 1 {
+				k = len(loops) - 1 - j
+			}
+			ns[k] = append(ns[k], nsPerBranch(loops[k]))
+		}
+		ratios[round] = ns[0][round] / ns[2][round]
+	}
+	legacyNs, serialNs, batchedNs := stats.Median(ns[0]), stats.Median(ns[1]), stats.Median(ns[2])
+	speedup := stats.Median(ratios)
 
 	sess, victim, stop := readBitSession(t)
 	defer stop()
@@ -220,30 +265,32 @@ func TestHotpathGuardrail(t *testing.T) {
 	pass := speedup >= minSpeedup && allocs == 0
 
 	report := struct {
-		LegacyNsPerBranch  float64 `json:"baseline_ns_per_branch"`
-		SerialNsPerBranch  float64 `json:"serial_ns_per_branch"`
-		BatchedNsPerBranch float64 `json:"batched_ns_per_branch"`
-		Speedup            float64 `json:"speedup_batched_over_baseline"`
-		MinSpeedup         float64 `json:"min_speedup"`
-		AllocsPerProbe     float64 `json:"allocs_per_readbit"`
-		Sites              int     `json:"working_set_branches"`
-		Pass               bool    `json:"pass"`
+		LegacyNsPerBranch  float64   `json:"baseline_ns_per_branch"`
+		SerialNsPerBranch  float64   `json:"serial_ns_per_branch"`
+		BatchedNsPerBranch float64   `json:"batched_ns_per_branch"`
+		Speedup            float64   `json:"speedup_batched_over_baseline"`
+		RoundSpeedups      []float64 `json:"round_speedups"`
+		MinSpeedup         float64   `json:"min_speedup"`
+		AllocsPerProbe     float64   `json:"allocs_per_readbit"`
+		Sites              int       `json:"working_set_branches"`
+		Pass               bool      `json:"pass"`
 	}{
 		LegacyNsPerBranch:  legacyNs,
 		SerialNsPerBranch:  serialNs,
 		BatchedNsPerBranch: batchedNs,
 		Speedup:            speedup,
+		RoundSpeedups:      ratios,
 		MinSpeedup:         minSpeedup,
 		AllocsPerProbe:     allocs,
 		Sites:              hotpathSites,
 		Pass:               pass,
 	}
 	writeBenchReport(t, "BENCH_hotpath.json", report)
-	t.Logf("legacy %.1f ns/branch, serial %.1f, batched %.1f: speedup %.2fx, ReadBit allocs %.1f",
-		legacyNs, serialNs, batchedNs, speedup, allocs)
+	t.Logf("median of %d rounds: legacy %.1f ns/branch, serial %.1f, batched %.1f: speedup %.2fx (rounds %.2f), ReadBit allocs %.1f",
+		hotpathRounds, legacyNs, serialNs, batchedNs, speedup, ratios, allocs)
 	if speedup < minSpeedup {
-		t.Errorf("batched hot path is only %.2fx the pre-refactor baseline (want >= %.1fx)",
-			speedup, minSpeedup)
+		t.Errorf("batched hot path is only %.2fx the pre-refactor baseline in the median round (want >= %.1fx; rounds %.2f)",
+			speedup, minSpeedup, ratios)
 	}
 	if allocs != 0 {
 		t.Errorf("steady-state ReadBit allocates %.1f objects per read, want 0", allocs)

@@ -5,7 +5,6 @@ import (
 
 	"branchscope/internal/cpu"
 	"branchscope/internal/rng"
-	"branchscope/internal/stats"
 )
 
 // Multi-branch spying (§6.3: "Knowing the states of PHT entries
@@ -153,41 +152,24 @@ func mixAliases(r *rng.Source, base *Block, targets []uint64) *Block {
 	return out
 }
 
-// analyzeMulti characterizes a block against every target at once: each
-// analysis repetition runs the block once and probes all targets, so the
-// per-candidate cost grows only marginally with the target count.
-func analyzeMulti(spy *cpu.Context, block *Block, cfg MultiConfig) ([]MultiTarget, bool) {
-	n := len(cfg.Targets)
-	patTT := make([][]Pattern, n)
-	patNN := make([][]Pattern, n)
-	for _, taken := range []bool{true, false} {
-		for rep := 0; rep < cfg.Reps; rep++ {
-			block.Run(spy)
-			for i, addr := range cfg.Targets {
-				p := ProbePMC(spy, addr, taken)
-				if taken {
-					patTT[i] = append(patTT[i], p)
-				} else {
-					patNN[i] = append(patNN[i], p)
-				}
-			}
-		}
-	}
-	targets := make([]MultiTarget, 0, n)
-	for i, addr := range cfg.Targets {
-		tt, ft := stats.Mode(patTT[i])
-		nn, fn := stats.Mode(patNN[i])
-		if ft < cfg.Stability || fn < cfg.Stability {
-			return nil, false
-		}
-		state := DecodeState(tt, nn)
-		usable := state == StateSN || state == StateWN || state == StateWT ||
-			(cfg.AllowST && state == StateST)
-		if !usable {
+// usable reports whether a target primed to s can be decoded: any
+// stable strong or weak state has a dictionary, except ST where AllowST
+// is false.
+func (c MultiConfig) usable(s StateClass) bool {
+	return s == StateSN || s == StateWN || s == StateWT || (c.AllowST && s == StateST)
+}
+
+// targetsFrom turns a candidate's per-target analyses into decode
+// contexts, or reports false when some target is unstable or primed to
+// an unusable state.
+func (c MultiConfig) targetsFrom(as []BlockAnalysis) ([]MultiTarget, bool) {
+	targets := make([]MultiTarget, 0, len(as))
+	for i, a := range as {
+		if !a.Stable || !c.usable(a.State) {
 			return nil, false
 		}
 		targets = append(targets, MultiTarget{
-			Addr: addr, Primed: state, ProbeTaken: probeDirFor(state),
+			Addr: c.Targets[i], Primed: a.State, ProbeTaken: probeDirFor(a.State),
 		})
 	}
 	return targets, true
@@ -245,18 +227,31 @@ func NewMultiSession(spy *cpu.Context, r *rng.Source, cfg MultiConfig) (*MultiSe
 	if len(cfg.Targets) == 0 {
 		return nil, fmt.Errorf("core: MultiConfig.Targets empty")
 	}
+	st := startSearch(spy)
 	for cand := 0; cand < cfg.MaxCandidates; cand++ {
 		block := generateMultiBlock(r, cfg)
-		targets, ok := analyzeMulti(spy, block, cfg)
+		st.candidates.Inc()
+		// One analysis repetition runs the block once and probes every
+		// target, so a candidate's cost grows only marginally with the
+		// target count; the bound drops it as soon as one target cannot
+		// end usable.
+		as := analyze(spy, block, cfg.Targets, cfg.Reps, cfg.Stability, nil, cfg.usable)
+		if as == nil {
+			st.earlyRejects.Inc()
+			continue
+		}
+		targets, ok := cfg.targetsFrom(as)
 		if !ok {
 			continue
 		}
 		ms := &MultiSession{spy: spy, cfg: cfg, block: block, targets: targets}
 		// Cheap filter, then a rigorous confirmation of the survivor.
 		if ms.selfVerify(r, 6, 5) && ms.selfVerify(r, 30, 27) {
+			st.end(cand+1, "usable")
 			return ms, nil
 		}
 	}
+	st.end(cfg.MaxCandidates, "none")
 	return nil, fmt.Errorf("core: no block stabilizes all %d targets in %d candidates",
 		len(cfg.Targets), cfg.MaxCandidates)
 }

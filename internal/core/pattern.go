@@ -46,6 +46,22 @@ func (p Pattern) FirstMiss() bool { return len(p) == 2 && p[0] == 'M' }
 // SecondMiss reports whether the second probe execution mispredicted.
 func (p Pattern) SecondMiss() bool { return len(p) == 2 && p[1] == 'M' }
 
+// allPatterns lists the four patterns in index order.
+var allPatterns = [4]Pattern{PatternHH, PatternHM, PatternMH, PatternMM}
+
+// index is p's position in allPatterns: the first execution's miss is
+// bit 1, the second's bit 0.
+func (p Pattern) index() int {
+	i := 0
+	if p.FirstMiss() {
+		i |= 2
+	}
+	if p.SecondMiss() {
+		i |= 1
+	}
+	return i
+}
+
 // StateClass is the architecturally inferred state of a PHT entry, as
 // decoded from probe observations (§6.2, Figure 4b). Beyond the four FSM
 // states it includes the two non-state outcomes the paper observes:

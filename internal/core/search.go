@@ -6,6 +6,7 @@ import (
 	"branchscope/internal/cpu"
 	"branchscope/internal/rng"
 	"branchscope/internal/stats"
+	"branchscope/internal/telemetry"
 )
 
 // BlockAnalysis is the statistical characterization of one candidate
@@ -87,64 +88,209 @@ func (c SearchConfig) generate(r *rng.Source) *Block {
 // using the §6.2 protocol: Reps repetitions of (run block, probe with two
 // taken branches), then Reps repetitions of (run block, probe with two
 // not-taken branches), decoding the dominant patterns. ctx is the spy's
-// context; the probes run at cfg.TargetAddr.
+// context; the probes run at cfg.TargetAddr. It always runs the full
+// protocol: Figure 4 needs the frequencies of every block.
 func AnalyzeBlock(ctx *cpu.Context, b *Block, cfg SearchConfig) BlockAnalysis {
 	cfg = cfg.withDefaults()
-	a := BlockAnalysis{Block: b}
+	return analyze(ctx, b, []uint64{cfg.TargetAddr}, cfg.Reps, cfg.Stability, cfg.OnRep, nil)[0]
+}
 
-	collect := func(taken bool) (Pattern, float64) {
-		pats := make([]Pattern, 0, cfg.Reps)
-		for i := 0; i < cfg.Reps; i++ {
-			b.Run(ctx)
-			if cfg.OnRep != nil {
-				cfg.OnRep()
-			}
-			pats = append(pats, ProbePMC(ctx, cfg.TargetAddr, taken))
+// analyze runs the §6.2 protocol against every address in addrs at once —
+// each repetition runs the block, calls onRep (when non-nil) and probes
+// every address — and returns one BlockAnalysis per address. It is the
+// one measurement loop behind AnalyzeBlock, FindBlock and the
+// multi-target search.
+//
+// With accept nil it always runs all 2×reps repetitions. A search passes
+// the states it can use, and analyze returns nil as soon as some address
+// has no pattern that decodes to an accepted state and can still reach
+// stableCount observations in the repetitions left. Such a candidate
+// would fail acceptance anyway, so the bound is exact: analyses that are
+// returned come from the whole protocol, as without the bound.
+func analyze(ctx *cpu.Context, b *Block, addrs []uint64, reps int, stability float64,
+	onRep func(), accept func(StateClass) bool) []BlockAnalysis {
+	out := make([]BlockAnalysis, len(addrs))
+	var allowed []patternSet
+	if accept != nil {
+		allowed = make([]patternSet, len(addrs))
+		for i := range allowed {
+			allowed[i] = ttPatterns(accept)
 		}
-		return stats.Mode(pats)
 	}
-	a.PatTT, a.FreqTT = collect(true)
-	a.PatNN, a.FreqNN = collect(false)
-	a.Stable = a.FreqTT >= cfg.Stability && a.FreqNN >= cfg.Stability
-	if a.Stable {
-		a.State = DecodeState(a.PatTT, a.PatNN)
-	} else {
+	need := stableCount(reps, stability)
+	pats := make([][]Pattern, len(addrs))
+	if !observe(ctx, b, addrs, true, reps, onRep, need, allowed, pats) {
+		return nil
+	}
+	for i := range out {
+		out[i].PatTT, out[i].FreqTT = stats.Mode(pats[i])
+		if allowed != nil {
+			allowed[i] = 0
+			if out[i].FreqTT >= stability {
+				allowed[i] = nnPatterns(accept, out[i].PatTT)
+			}
+		}
+	}
+	if !observe(ctx, b, addrs, false, reps, onRep, need, allowed, pats) {
+		return nil
+	}
+	for i := range out {
+		a := &out[i]
+		a.Block = b
+		a.PatNN, a.FreqNN = stats.Mode(pats[i])
+		a.Stable = a.FreqTT >= stability && a.FreqNN >= stability
 		a.State = StateUnknown
+		if a.Stable {
+			a.State = DecodeState(a.PatTT, a.PatNN)
+		}
 	}
-	return a
+	return out
+}
+
+// observe runs one probe variant of the protocol: reps repetitions of
+// (run block, onRep, probe every address with two branches in direction
+// taken), recording address i's patterns in pats[i]. When allowed is
+// non-nil it checks before every repetition that each address still has
+// an allowed pattern able to reach need observations, and returns false
+// at the first repetition where one has none.
+func observe(ctx *cpu.Context, b *Block, addrs []uint64, taken bool, reps int,
+	onRep func(), need int, allowed []patternSet, pats [][]Pattern) bool {
+	counts := make([][4]int, len(addrs))
+	for i := range pats {
+		pats[i] = make([]Pattern, 0, reps)
+	}
+	for rep := 0; rep < reps; rep++ {
+		for i := range allowed {
+			if !allowed[i].reachable(&counts[i], need-(reps-rep)) {
+				return false
+			}
+		}
+		b.Run(ctx)
+		if onRep != nil {
+			onRep()
+		}
+		for i, addr := range addrs {
+			p := ProbePMC(ctx, addr, taken)
+			pats[i] = append(pats[i], p)
+			counts[i][p.index()]++
+		}
+	}
+	return true
+}
+
+// stableCount is the smallest dominant-pattern count out of reps that
+// meets the stability threshold, by the comparison the acceptance uses;
+// reps+1 when no count does.
+func stableCount(reps int, stability float64) int {
+	for c := 0; c <= reps; c++ {
+		if float64(c)/float64(reps) >= stability {
+			return c
+		}
+	}
+	return reps + 1
+}
+
+// patternSet is a set of probe patterns, one bit per Pattern.index.
+type patternSet uint8
+
+// reachable reports whether some pattern in s has at least atLeast
+// observations in counts.
+func (s patternSet) reachable(counts *[4]int, atLeast int) bool {
+	for i, n := range counts {
+		if s&(1<<i) != 0 && n >= atLeast {
+			return true
+		}
+	}
+	return false
+}
+
+// ttPatterns is the set of dominant TT patterns that decode to an
+// accepted state together with some NN pattern.
+func ttPatterns(accept func(StateClass) bool) patternSet {
+	var s patternSet
+	for _, tt := range allPatterns {
+		if nnPatterns(accept, tt) != 0 {
+			s |= 1 << tt.index()
+		}
+	}
+	return s
+}
+
+// nnPatterns is the set of dominant NN patterns that decode to an
+// accepted state after the dominant TT pattern tt.
+func nnPatterns(accept func(StateClass) bool, tt Pattern) patternSet {
+	var s patternSet
+	for _, nn := range allPatterns {
+		if accept(DecodeState(tt, nn)) {
+			s |= 1 << nn.index()
+		}
+	}
+	return s
 }
 
 // FindBlock is the pre-attack stage (§6.2): it generates candidate
 // randomization blocks and analyzes each until one is found that stably
 // leaves the target PHT entry in the desired state, or maxCandidates are
-// exhausted. The search is a one-time effort; the returned block is then
-// reused for every attack episode.
+// exhausted. A candidate is abandoned as soon as its counts prove it
+// cannot reach the desired state (see analyze). The search is a one-time
+// effort; the returned block is then reused for every attack episode.
 func FindBlock(ctx *cpu.Context, r *rng.Source, cfg SearchConfig, desired StateClass, maxCandidates int) (*Block, BlockAnalysis, error) {
 	cfg = cfg.withDefaults()
 	if maxCandidates <= 0 {
 		maxCandidates = 200
 	}
-	tel := ctx.Core().Telemetry()
-	var start uint64
-	if tel != nil {
-		start = ctx.Core().Clock()
-	}
-	candidates := tel.Counter("core.search.candidates")
+	st := startSearch(ctx)
+	isDesired := func(s StateClass) bool { return s == desired }
 	for i := 0; i < maxCandidates; i++ {
 		b := cfg.generate(r)
-		candidates.Inc()
-		a := AnalyzeBlock(ctx, b, cfg)
-		if a.Stable && a.State == desired {
-			tel.Counter("core.search.found").Inc()
-			tel.Span(ctx.TID(), "attack", "block-search", start, ctx.Core().Clock(),
-				map[string]any{"candidates": i + 1, "state": desired.String()})
+		st.candidates.Inc()
+		as := analyze(ctx, b, []uint64{cfg.TargetAddr}, cfg.Reps, cfg.Stability, cfg.OnRep, isDesired)
+		if as == nil {
+			st.earlyRejects.Inc()
+			continue
+		}
+		if a := as[0]; a.Stable && a.State == desired {
+			st.end(i+1, desired.String())
 			return b, a, nil
 		}
 	}
-	tel.Counter("core.search.exhausted").Inc()
-	tel.Span(ctx.TID(), "attack", "block-search", start, ctx.Core().Clock(),
-		map[string]any{"candidates": maxCandidates, "state": "none"})
+	st.end(maxCandidates, "none")
 	return nil, BlockAnalysis{}, fmt.Errorf(
 		"core: no stable randomization block reaching state %v in %d candidates (target %#x)",
 		desired, maxCandidates, cfg.TargetAddr)
+}
+
+// searchTelemetry records a block search in the spy core's telemetry:
+// core.search.candidates per generated block, core.search.early_rejects
+// per candidate the bound abandoned, then core.search.found or
+// core.search.exhausted and a block-search span.
+type searchTelemetry struct {
+	ctx                      *cpu.Context
+	tel                      *telemetry.Set
+	start                    uint64
+	candidates, earlyRejects *telemetry.Counter
+}
+
+func startSearch(ctx *cpu.Context) searchTelemetry {
+	tel := ctx.Core().Telemetry()
+	st := searchTelemetry{ctx: ctx, tel: tel,
+		candidates:   tel.Counter("core.search.candidates"),
+		earlyRejects: tel.Counter("core.search.early_rejects"),
+	}
+	if tel != nil {
+		st.start = ctx.Core().Clock()
+	}
+	return st
+}
+
+// end closes the search after candidates blocks; outcome is the found
+// state's name, or "none" when the search was exhausted.
+func (st searchTelemetry) end(candidates int, outcome string) {
+	if outcome == "none" {
+		st.tel.Counter("core.search.exhausted").Inc()
+	} else {
+		st.tel.Counter("core.search.found").Inc()
+	}
+	st.tel.Span(st.ctx.TID(), "attack", "block-search", st.start, st.ctx.Core().Clock(),
+		map[string]any{"candidates": candidates, "state": outcome})
 }

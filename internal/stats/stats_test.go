@@ -88,6 +88,27 @@ func TestModeAndFreq(t *testing.T) {
 	}
 }
 
+// TestModeTieFirstOccurrence pins Mode's tie-break: among equally
+// frequent values the first one in xs wins, on every call. A map-order
+// tie-break returns either value, so repeated calls catch it.
+func TestModeTieFirstOccurrence(t *testing.T) {
+	for _, tc := range []struct {
+		xs    []string
+		want  string
+		share float64
+	}{
+		{[]string{"HH", "MM", "HH", "MM"}, "HH", 0.5},
+		{[]string{"MM", "HH", "HH", "MM"}, "MM", 0.5},
+		{[]string{"MH", "HM", "MM", "HH"}, "MH", 0.25},
+	} {
+		for i := 0; i < 200; i++ {
+			if v, share := Mode(tc.xs); v != tc.want || !almost(share, tc.share) {
+				t.Fatalf("Mode(%v) = %q %v on call %d, want %q %v", tc.xs, v, share, i, tc.want, tc.share)
+			}
+		}
+	}
+}
+
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {
