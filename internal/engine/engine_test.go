@@ -11,6 +11,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"branchscope/internal/cpu"
+	"branchscope/internal/sched"
+	"branchscope/internal/uarch"
 )
 
 func TestDeriveSeedProperties(t *testing.T) {
@@ -271,6 +275,39 @@ func TestRunnerPanicIsolation(t *testing.T) {
 	}
 	if Failed(reports) != 1 {
 		t.Errorf("Failed = %d, want 1", Failed(reports))
+	}
+}
+
+// A panic inside a scheduled victim surfaces from the Step call that
+// resumed it, on the task's goroutine, so the runner isolates it like
+// any other task panic instead of the process crashing.
+func TestRunnerIsolatesThreadPanic(t *testing.T) {
+	tasks := []Task{
+		okTask("before"),
+		{
+			ID: "victim", Artifact: "T", Description: "spawned thread panics",
+			Run: func(ctx context.Context, cfg Config) (Result, error) {
+				sys := sched.NewSystem(uarch.Skylake(), cfg.Seed)
+				th := sys.Spawn("victim", func(c *cpu.Context) {
+					c.Branch(0x100, true)
+					panic("deliberate victim panic")
+				})
+				th.Run()
+				return textResult("unreachable"), nil
+			},
+		},
+		okTask("after"),
+	}
+	reports := (&Runner{Pool: NewPool(2)}).RunSuite(context.Background(), tasks, Config{Seed: 1})
+	if reports[0].Err != nil || reports[2].Err != nil {
+		t.Error("sibling tasks affected by a panicking thread")
+	}
+	bad := reports[1]
+	if got := bad.Outcome(); got != "panic" {
+		t.Fatalf("outcome = %q, want panic (err %v)", got, bad.Err)
+	}
+	if !strings.Contains(bad.Err.Error(), "deliberate victim panic") {
+		t.Errorf("panic message lost: %v", bad.Err)
 	}
 }
 

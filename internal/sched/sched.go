@@ -1,3 +1,11 @@
+//go:build go1.23
+
+// The coroutine handoff uses iter.Pull, which needs Go 1.23. The
+// module's go line stays at 1.22 so that modules pinned to 1.22 can
+// still depend on it; the build constraint above raises this file's
+// language version instead, and go.mod's toolchain line supplies a Go
+// that has iter.
+
 // Package sched provides the operating-system substrate of the
 // simulation: processes scheduled onto the hardware contexts of a
 // simulated core, with attacker-relevant control over interleaving.
@@ -12,13 +20,16 @@
 // branch quanta, while the attacker's own code runs directly on its
 // context.
 //
-// Threads use strict channel handoff: at any moment either the scheduler
-// or exactly one thread is running, so the simulated core's state needs
-// no locking and execution is fully deterministic.
+// Each thread is a coroutine (iter.Pull): stepping it switches directly
+// from the scheduler's goroutine to the thread's and back, so at any
+// moment either the scheduler or exactly one thread is running, the
+// simulated core's state needs no locking and execution is fully
+// deterministic.
 package sched
 
 import (
 	"fmt"
+	"iter"
 
 	"branchscope/internal/cpu"
 	"branchscope/internal/rng"
@@ -104,12 +115,10 @@ func (s *System) NewProcess(name string) *cpu.Context {
 }
 
 // grant is one scheduling quantum: budgets in retired instructions and
-// retired branches. A negative budget is unlimited. kill tears the thread
-// down instead of resuming it.
+// retired branches. A negative budget is unlimited.
 type grant struct {
 	instr    int64
 	branches int64
-	kill     bool
 }
 
 // killed is the sentinel panic value used to unwind a killed thread.
@@ -117,23 +126,31 @@ type killed struct{}
 
 // Thread is a process running as a cooperative coroutine. It executes
 // only while the scheduler has granted it a quantum; it pauses itself by
-// blocking in its instruction-retire hook.
+// yielding from its instruction-retire hook.
+//
+// A Thread is owned by whoever steps it: Step, StepBranches, Run, Kill
+// and Finished must not be called concurrently.
 type Thread struct {
 	Name string
 
-	ctx      *cpu.Context
-	resume   chan grant
-	paused   chan struct{}
-	finished chan struct{}
+	ctx *cpu.Context
 
-	// Owned by the thread goroutine while running.
+	// next resumes the coroutine until it yields (true) or fn returns
+	// (false); stop unwinds a suspended coroutine; yield, captured when
+	// the coroutine first runs, suspends it from inside onRetire.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+
 	budget grant
+	done   bool
 
-	// tel/steps/switches are captured from the System at spawn time
+	// tel and the counters are captured from the System at spawn time
 	// (nil when telemetry is disabled).
 	tel      *telemetry.Set
 	steps    *telemetry.Counter
 	switches *telemetry.Counter
+	kills    *telemetry.Counter
 }
 
 // Spawn creates a process executing fn on a fresh context and returns its
@@ -143,17 +160,14 @@ func (s *System) Spawn(name string, fn func(*cpu.Context)) *Thread {
 	t := &Thread{
 		Name:     name,
 		ctx:      s.NewProcess(name),
-		resume:   make(chan grant),
-		paused:   make(chan struct{}),
-		finished: make(chan struct{}),
 		tel:      s.tel,
 		steps:    s.ctr.steps,
 		switches: s.ctr.switches,
+		kills:    s.ctr.kills,
 	}
 	s.ctr.spawns.Inc()
 	t.ctx.SetHook(t.onRetire)
-	go func() {
-		defer close(t.finished)
+	t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(killed); !ok {
@@ -161,17 +175,16 @@ func (s *System) Spawn(name string, fn func(*cpu.Context)) *Thread {
 				}
 			}
 		}()
-		t.budget = <-t.resume
-		if t.budget.kill {
-			return
-		}
+		t.yield = yield
 		fn(t.ctx)
-	}()
+	})
 	return t
 }
 
-// onRetire is the context hook: it spends budget and parks the thread
-// when the quantum is exhausted.
+// onRetire is the context hook: it spends budget and suspends the
+// thread when the quantum is exhausted. A false yield means Kill
+// stopped the coroutine; the killed panic unwinds fn, running its
+// deferred calls.
 func (t *Thread) onRetire(isBranch bool) {
 	if t.budget.instr > 0 {
 		t.budget.instr--
@@ -179,41 +192,33 @@ func (t *Thread) onRetire(isBranch bool) {
 	if isBranch && t.budget.branches > 0 {
 		t.budget.branches--
 	}
-	exhausted := t.budget.instr == 0 || t.budget.branches == 0
-	if exhausted {
-		t.paused <- struct{}{}
-		t.budget = <-t.resume
-		if t.budget.kill {
+	if t.budget.instr == 0 || t.budget.branches == 0 {
+		if !t.yield(struct{}{}) {
 			panic(killed{})
 		}
 	}
 }
 
-// step grants a quantum and blocks until the thread pauses or finishes.
-// It reports whether the thread is still alive. With telemetry attached
-// it counts the dispatch (a context switch in and back out) and emits
-// one "quantum" span per grant on the thread's trace timeline, covering
-// the cycles the thread actually ran.
+// step grants a quantum and switches to the thread until it pauses or
+// finishes. It reports whether the thread is still alive. A panic in
+// the thread's function propagates out of step and leaves the thread
+// finished. With telemetry attached it counts the dispatch (a context
+// switch in and back out) and emits one "quantum" span per grant on the
+// thread's trace timeline, covering the cycles the thread actually ran.
 func (t *Thread) step(g grant) bool {
+	if t.done {
+		return false
+	}
 	var start uint64
 	if t.tel != nil {
 		t.steps.Inc()
 		t.switches.Add(2)
 		start = t.ctx.Core().Clock()
 	}
-	alive := func() bool {
-		select {
-		case <-t.finished:
-			return false
-		case t.resume <- g:
-		}
-		select {
-		case <-t.paused:
-			return true
-		case <-t.finished:
-			return false
-		}
-	}()
+	t.budget = g
+	t.done = true // stays set if next panics
+	_, alive := t.next()
+	t.done = !alive
 	if t.tel != nil {
 		if end := t.ctx.Core().Clock(); end > start {
 			t.tel.Span(t.ctx.TID(), "sched", "quantum", start, end, nil)
@@ -227,7 +232,7 @@ func (t *Thread) step(g grant) bool {
 // no-op that reports liveness.
 func (t *Thread) Step(n int) bool {
 	if n <= 0 {
-		return !t.Finished()
+		return !t.done
 	}
 	return t.step(grant{instr: int64(n), branches: -1})
 }
@@ -239,7 +244,7 @@ func (t *Thread) Step(n int) bool {
 // is still runnable.
 func (t *Thread) StepBranches(k int) bool {
 	if k <= 0 {
-		return !t.Finished()
+		return !t.done
 	}
 	return t.step(grant{instr: -1, branches: int64(k)})
 }
@@ -250,31 +255,23 @@ func (t *Thread) Run() {
 	}
 }
 
-// Kill terminates a suspended thread: its next resume unwinds the process
-// function instead of continuing it. Killing a finished thread is a
-// no-op. This models the OS reclaiming a process (noise generators run
-// forever and must be reaped at the end of an experiment).
+// Kill terminates a suspended thread, unwinding its process function
+// (deferred calls run). A thread never stepped never runs at all.
+// Killing a finished thread is a no-op. This models the OS reclaiming a
+// process (noise generators run forever and must be reaped at the end
+// of an experiment).
 func (t *Thread) Kill() {
-	select {
-	case <-t.finished:
+	if t.done {
 		return
-	case t.resume <- grant{kill: true}:
 	}
-	<-t.finished
-	if t.tel != nil {
-		t.tel.Counter("sched.kills").Inc()
-	}
+	t.done = true
+	t.stop()
+	t.kills.Inc()
 }
 
-// Finished reports whether the thread's function has returned.
-func (t *Thread) Finished() bool {
-	select {
-	case <-t.finished:
-		return true
-	default:
-		return false
-	}
-}
+// Finished reports whether the thread's function has returned, panicked
+// or been killed.
+func (t *Thread) Finished() bool { return t.done }
 
 // Context exposes the thread's hardware context; useful for reading its
 // performance counters after it finishes.

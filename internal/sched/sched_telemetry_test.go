@@ -25,14 +25,18 @@ func TestSystemTelemetry(t *testing.T) {
 	})
 	th.StepBranches(3)
 	th.Run()
-	th.Kill()
+	th.Kill() // finished: a no-op, not a kill
+	sys.Spawn("idle", func(ctx *cpu.Context) { ctx.Nop(0x10) }).Kill()
 
 	reg := set.Metrics
-	if reg.Counter("sched.spawns").Value() != 1 {
-		t.Error("sched.spawns != 1")
+	if reg.Counter("sched.spawns").Value() != 2 {
+		t.Error("sched.spawns != 2")
 	}
-	if reg.Counter("sched.processes").Value() != 1 {
-		t.Error("sched.processes != 1")
+	if reg.Counter("sched.processes").Value() != 2 {
+		t.Error("sched.processes != 2")
+	}
+	if got := reg.Counter("sched.kills").Value(); got != 1 {
+		t.Errorf("sched.kills = %d, want 1", got)
 	}
 	if got := reg.Counter("sched.steps").Value(); got < 2 {
 		t.Errorf("sched.steps = %d, want >= 2", got)

@@ -93,10 +93,10 @@ func TestStepReturnsFalseWhenFinished(t *testing.T) {
 	th := s.Spawn("v", func(ctx *cpu.Context) {
 		ctx.Nop(0x10)
 	})
-	if !th.Step(1) {
-		// One instruction then pause: thread paused inside hook; it
-		// has not returned yet, so Step may report alive.
-		t.Log("thread reported finished at pause point")
+	// The quantum ends on the function's last instruction: the thread
+	// is paused inside its retire hook and has not returned yet.
+	if !th.Step(1) || th.Finished() {
+		t.Error("thread reported finished at the pause on its last instruction")
 	}
 	// Drain to completion.
 	th.Run()
@@ -255,11 +255,19 @@ func TestSystemAccessors(t *testing.T) {
 
 func TestKillSuspendedThread(t *testing.T) {
 	s := newSys()
-	th := s.Spawn("noise", noise.Process(3, noise.DefaultRegion, 1<<16))
+	cleaned := false
+	proc := noise.Process(3, noise.DefaultRegion, 1<<16)
+	th := s.Spawn("noise", func(ctx *cpu.Context) {
+		defer func() { cleaned = true }()
+		proc(ctx)
+	})
 	th.Step(100)
 	th.Kill()
 	if !th.Finished() {
 		t.Error("killed thread not finished")
+	}
+	if !cleaned {
+		t.Error("Kill did not run the thread function's deferred calls")
 	}
 	if th.Step(10) {
 		t.Error("killed thread still runnable")
@@ -284,4 +292,83 @@ func TestKillFinishedThreadNoop(t *testing.T) {
 	th := s.Spawn("x", func(ctx *cpu.Context) { ctx.Nop(1) })
 	th.Run()
 	th.Kill() // must not hang or panic
+}
+
+func TestThreadPanicSurfacesFromStep(t *testing.T) {
+	s := newSys()
+	th := s.Spawn("x", func(ctx *cpu.Context) {
+		ctx.Branch(0x10, true)
+		panic("victim fault")
+	})
+	if !th.StepBranches(1) {
+		t.Fatal("thread finished before its panic")
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "victim fault" {
+				t.Errorf("recovered %v, want the thread's panic value", r)
+			}
+		}()
+		th.StepBranches(1)
+	}()
+	if !th.Finished() {
+		t.Error("panicked thread not finished")
+	}
+	if th.Step(1) {
+		t.Error("panicked thread still runnable")
+	}
+	th.Kill() // must be a no-op
+}
+
+// noiseStep is a typical background-noise quantum: fig4's default noise
+// per repetition, and each half of Skylake's isolated-setting noise
+// budget around the victim's branch.
+const noiseStep = 90
+
+func TestThreadStepZeroAlloc(t *testing.T) {
+	s := newSys()
+	victim := s.Spawn("victim", func(ctx *cpu.Context) {
+		for i := uint64(0); ; i++ {
+			ctx.Work(3)
+			ctx.Branch(0x100, i%3 == 0)
+		}
+	})
+	defer victim.Kill()
+	n := s.Spawn("noise", noise.Process(3, noise.DefaultRegion, 1<<16))
+	defer n.Kill()
+	victim.StepBranches(1)
+	n.Step(noiseStep)
+	if a := testing.AllocsPerRun(100, func() { victim.StepBranches(1) }); a != 0 {
+		t.Errorf("StepBranches(1) allocates %.1f times per call", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { n.Step(noiseStep) }); a != 0 {
+		t.Errorf("noise Step(%d) allocates %.1f times per call", noiseStep, a)
+	}
+}
+
+// BenchmarkThreadStep measures one scheduler round trip: a single
+// victim branch, and one noise quantum.
+func BenchmarkThreadStep(b *testing.B) {
+	b.Run("StepBranches1", func(b *testing.B) {
+		th := newSys().Spawn("victim", func(ctx *cpu.Context) {
+			for {
+				ctx.Branch(0x100, true)
+			}
+		})
+		defer th.Kill()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			th.StepBranches(1)
+		}
+	})
+	b.Run("NoiseStep90", func(b *testing.B) {
+		th := newSys().Spawn("noise", noise.Process(3, noise.DefaultRegion, 1<<16))
+		defer th.Kill()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			th.Step(noiseStep)
+		}
+	})
 }
