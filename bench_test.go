@@ -291,9 +291,10 @@ func BenchmarkRandomizationBlock(b *testing.B) {
 func BenchmarkPMCProbe(b *testing.B) {
 	sys := sched.NewSystem(uarch.Skylake(), 1)
 	ctx := sys.NewProcess("bench")
+	rb := ctx.ResolveBranch(victims.SecretBranchAddr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.ProbePMC(ctx, victims.SecretBranchAddr, true)
+		core.ProbePMC(ctx, &rb, true)
 	}
 }
 

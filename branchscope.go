@@ -222,8 +222,18 @@ var ExperimentByID = experiments.ByID
 // direction under the standard prime-SN / probe-taken configuration.
 var DecodeBit = core.DecodeBit
 
-// ProbePMC and ProbeTSC are the raw probe primitives (§7, §8).
-var (
-	ProbePMC = core.ProbePMC
-	ProbeTSC = core.ProbeTSC
-)
+// ProbePMC is the raw PMC probe primitive (§7): it executes the spy
+// branch at addr twice in direction taken and returns the observed
+// misprediction pattern.
+func ProbePMC(ctx *Context, addr uint64, taken bool) Pattern {
+	rb := ctx.ResolveBranch(addr)
+	return core.ProbePMC(ctx, &rb, taken).Pattern()
+}
+
+// ProbeTSC is the raw timing probe primitive (§8): it executes the spy
+// branch at addr twice in direction taken and returns the rdtscp-measured
+// latency of each execution.
+func ProbeTSC(ctx *Context, addr uint64, taken bool) core.TSCSample {
+	rb := ctx.ResolveBranch(addr)
+	return core.ProbeTSC(ctx, &rb, taken)
+}

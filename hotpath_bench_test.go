@@ -40,7 +40,7 @@ type legacyICacheEntry struct {
 // legacyMachine replays the pre-refactor per-branch execution path: the
 // spec-walking ReferenceUnit predictor with eager per-call index
 // resolution, the polar-method normal jitter draw, and the original
-// cost arithmetic of Context.BranchTo, preserved operation for
+// cost arithmetic of Context.Branch, preserved operation for
 // operation from the pre-refactor source.
 type legacyMachine struct {
 	unit   *bpu.ReferenceUnit
@@ -59,7 +59,7 @@ func newLegacyMachine(seed uint64) *legacyMachine {
 	}
 }
 
-func (m *legacyMachine) icacheAccess(domain, addr uint64) uint64 {
+func (m *legacyMachine) icacheFetch(domain, addr uint64) uint64 {
 	line := addr >> 6
 	e := &m.icache[line%cpu.ICacheLines]
 	if e.valid && e.domain == domain && e.line == line {
@@ -87,7 +87,7 @@ func (m *legacyMachine) jitter() uint64 {
 
 func (m *legacyMachine) branch(domain, addr uint64, taken bool) {
 	cost := m.timing.BranchBase
-	cost += m.icacheAccess(domain, addr)
+	cost += m.icacheFetch(domain, addr)
 	l := m.unit.Predict(domain, addr)
 	if l.Taken != taken {
 		cost += m.timing.MispredictPenalty

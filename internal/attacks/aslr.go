@@ -86,14 +86,15 @@ func DerandomizeASLR(sys *sched.System, victim core.Stepper, candidates []uint64
 // and the taken-probe observes MH; otherwise MM.
 func collisionSignal(spy *cpu.Context, r *rng.Source, cand uint64, victim core.Stepper, stepBranches int) bool {
 	const maxBlockTries = 8
+	rb := spy.ResolveBranch(cand)
 	for try := 0; try < maxBlockTries; try++ {
 		block := core.GenerateFocusedBlock(r, 0x6300_0000, 96, cand)
 		block.Run(spy)
-		if core.ProbePMC(spy, cand, false) != core.PatternHH {
+		if core.ProbePMC(spy, &rb, false).Pattern() != core.PatternHH {
 			continue // entry not on the not-taken side; try another block
 		}
 		victim.StepBranches(stepBranches)
-		return core.DecodeBit(core.ProbePMC(spy, cand, true))
+		return core.DecodeBit(core.ProbePMC(spy, &rb, true).Pattern())
 	}
 	return false
 }

@@ -276,9 +276,6 @@ func (u *Unit) MarkSensitive(lo, hi uint64) {
 	u.epoch++
 }
 
-// Epoch returns the current index-layout version; see Site.
-func (u *Unit) Epoch() uint32 { return u.epoch }
-
 func (u *Unit) sensitive(addr uint64) bool {
 	if u.cfg.Mitigation != MitigationNoPredictSensitive {
 		return false
@@ -420,19 +417,11 @@ type Site struct {
 	gKeyed bool // randomized-index mitigation active
 }
 
-// Addr returns the branch address the site was resolved for.
-func (s *Site) Addr() uint64 { return s.addr }
-
-// Resolve computes the Site for a branch at addr in the given domain.
-func (u *Unit) Resolve(domain, addr uint64) Site {
-	var s Site
-	u.ResolveInto(&s, domain, addr)
-	return s
-}
-
-// ResolveInto is Resolve writing into a caller-owned Site, avoiding the
-// return-value copy on hot compile paths.
-func (u *Unit) ResolveInto(s *Site, domain, addr uint64) {
+// Resolve computes the Site for a branch at addr executed by the given
+// security domain (hardware contexts in the same process share a
+// domain; the mitigations key on it), writing it into a caller-owned
+// Site.
+func (u *Unit) Resolve(s *Site, domain, addr uint64) {
 	base, size := u.phtSpan(domain)
 	*s = Site{
 		addr:       addr,
@@ -461,29 +450,14 @@ func (s *Site) gshareIdx(ghr uint64) int32 {
 	return s.gBase + int32(pht.IndexMod(s.gFold^ghr, int(s.gSize)))
 }
 
-// Predict produces a direction and target prediction for the branch at
-// addr, executed by the given security domain (hardware contexts in the
-// same process share a domain; the mitigations key on it).
-func (u *Unit) Predict(domain, addr uint64) Lookup {
-	s := u.Resolve(domain, addr)
-	return u.PredictSite(&s)
-}
-
-// PredictSite is Predict for a previously resolved Site.
-func (u *Unit) PredictSite(s *Site) Lookup {
-	var l Lookup
-	u.PredictSiteInto(&l, s)
-	return l
-}
-
-// PredictSiteInto is the per-branch hot path: Predict for a previously
-// resolved Site, written into a caller-owned Lookup (no struct-copy
-// traffic). It skips every index computation except the GHR-dependent
-// gshare finish, revalidating (and re-resolving in place) if the unit's
-// index layout changed since the Site was built.
-func (u *Unit) PredictSiteInto(l *Lookup, s *Site) {
+// Predict produces a direction and target prediction for a resolved
+// branch site, written into a caller-owned Lookup. It skips every index
+// computation except the GHR-dependent gshare finish, revalidating (and
+// re-resolving in place) if the unit's index layout changed since the
+// Site was built.
+func (u *Unit) Predict(l *Lookup, s *Site) {
 	if s.epoch != u.epoch {
-		u.ResolveInto(s, s.domain, s.addr)
+		u.Resolve(s, s.domain, s.addr)
 	}
 	*l = Lookup{
 		domain:     s.domain,
@@ -522,10 +496,6 @@ func (u *Unit) PredictSiteInto(l *Lookup, s *Site) {
 	l.BTBHit, l.Target = u.btbLookupAt(s.btbIdx, s.addr)
 }
 
-func (u *Unit) btbLookup(addr uint64) (bool, uint64) {
-	return u.btbLookupAt(int32(pht.IndexMod(addr, u.cfg.BTBEntries)), addr)
-}
-
 func (u *Unit) btbLookupAt(idx int32, addr uint64) (bool, uint64) {
 	e := u.btb[idx]
 	if e.valid && e.addr == addr {
@@ -538,15 +508,8 @@ func (u *Unit) btbLookupAt(idx int32, addr uint64) (bool, uint64) {
 // and target, updating the direction predictor, history, tags and BTB.
 // It reports whether the branch was newly allocated in the seen-branch
 // tracker (a tag miss) — the churn signal the internal/detect hardware
-// countermeasure monitors.
-func (u *Unit) Commit(l Lookup, taken bool, target uint64) (allocated bool) {
-	return u.CommitRef(&l, taken, target)
-}
-
-// CommitRef is Commit through a caller-owned Lookup, paired with
-// PredictSiteInto on the per-branch hot path. The Lookup is not
-// modified.
-func (u *Unit) CommitRef(l *Lookup, taken bool, target uint64) (allocated bool) {
+// countermeasure monitors. The Lookup is not modified.
+func (u *Unit) Commit(l *Lookup, taken bool, target uint64) (allocated bool) {
 	if l.Static {
 		// Sensitive/static branches leave no trace in the BPU; that is
 		// the entire point of the mitigation (§10.2 "avoid updating any
@@ -643,12 +606,6 @@ func (u *Unit) PHT() *pht.Table { return u.pht }
 func (u *Unit) TagLive(domain, addr uint64) bool {
 	e := u.tags[u.tagIndex(domain, addr)]
 	return e.valid && e.addr == addr
-}
-
-// SelectorValue returns the selector counter governing addr. Inspection
-// hook for tests.
-func (u *Unit) SelectorValue(addr uint64) uint8 {
-	return u.selector[addr%uint64(u.cfg.SelectorSize)]
 }
 
 // Snapshot captures the complete unit state for checkpoint/replay (used

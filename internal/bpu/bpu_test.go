@@ -5,7 +5,23 @@ import (
 	"testing"
 
 	"branchscope/internal/fsm"
+	"branchscope/internal/pht"
 )
+
+// predict resolves the branch at addr in domain and predicts it: the
+// per-address form the unit tests drive the predictor through.
+func predict(u *Unit, domain, addr uint64) *Lookup {
+	var s Site
+	u.Resolve(&s, domain, addr)
+	l := new(Lookup)
+	u.Predict(l, &s)
+	return l
+}
+
+// btbLookup probes the BTB for addr.
+func btbLookup(u *Unit, addr uint64) (bool, uint64) {
+	return u.btbLookupAt(int32(pht.IndexMod(addr, u.cfg.BTBEntries)), addr)
+}
 
 func testConfig() Config {
 	return Config{
@@ -69,7 +85,7 @@ func TestNewBranchUsesOneLevel(t *testing.T) {
 	cfg := testConfig()
 	cfg.SelectorInit = 15 // selector strongly prefers gshare
 	u := New(cfg)
-	l := u.Predict(0, 0x1000)
+	l := predict(u, 0, 0x1000)
 	if l.UsedGshare {
 		t.Error("branch with no tag used the 2-level predictor")
 	}
@@ -78,7 +94,7 @@ func TestNewBranchUsesOneLevel(t *testing.T) {
 		t.Error("tag not allocated after commit")
 	}
 	// Now the tag is live and the selector prefers gshare.
-	l = u.Predict(0, 0x1000)
+	l = predict(u, 0, 0x1000)
 	if !l.UsedGshare {
 		t.Error("tagged branch with gshare-leaning selector did not use gshare")
 	}
@@ -89,16 +105,16 @@ func TestTagEvictionForcesOneLevel(t *testing.T) {
 	cfg.SelectorInit = 15
 	u := New(cfg)
 	addr := uint64(0x1000)
-	l := u.Predict(0, addr)
+	l := predict(u, 0, addr)
 	u.Commit(l, true, 0)
 	// An aliasing branch (same tag slot, different address) evicts it.
 	alias := addr + uint64(cfg.TagEntries)
-	l = u.Predict(0, alias)
+	l = predict(u, 0, alias)
 	u.Commit(l, false, 0)
 	if u.TagLive(0, addr) {
 		t.Fatal("tag survived aliasing branch")
 	}
-	if l := u.Predict(0, addr); l.UsedGshare {
+	if l := predict(u, 0, addr); l.UsedGshare {
 		t.Error("evicted branch still predicted by gshare")
 	}
 }
@@ -109,17 +125,17 @@ func TestBimodalLearnsDirection(t *testing.T) {
 	u := New(cfg)
 	addr := uint64(0x42)
 	for i := 0; i < 3; i++ {
-		l := u.Predict(0, addr)
+		l := predict(u, 0, addr)
 		u.Commit(l, true, 0)
 	}
-	if !u.Predict(0, addr).Taken {
+	if !predict(u, 0, addr).Taken {
 		t.Error("bimodal did not learn taken after three taken outcomes")
 	}
 	for i := 0; i < 4; i++ {
-		l := u.Predict(0, addr)
+		l := predict(u, 0, addr)
 		u.Commit(l, false, 0)
 	}
-	if u.Predict(0, addr).Taken {
+	if predict(u, 0, addr).Taken {
 		t.Error("bimodal did not learn not-taken")
 	}
 }
@@ -135,7 +151,7 @@ func TestHybridLearnsIrregularPattern(t *testing.T) {
 	missesPerIter := make([]int, 20)
 	for iter := 0; iter < 20; iter++ {
 		for _, taken := range pattern {
-			l := u.Predict(0, addr)
+			l := predict(u, 0, addr)
 			if l.Taken != taken {
 				missesPerIter[iter]++
 			}
@@ -159,7 +175,7 @@ func TestStaticOnlyNeverLearns(t *testing.T) {
 	u := New(cfg)
 	addr := uint64(0x77)
 	for i := 0; i < 10; i++ {
-		l := u.Predict(0, addr)
+		l := predict(u, 0, addr)
 		if l.Taken {
 			t.Fatal("static predictor predicted taken")
 		}
@@ -171,7 +187,7 @@ func TestStaticOnlyNeverLearns(t *testing.T) {
 	if u.TagLive(0, addr) {
 		t.Error("static mode allocated a tag")
 	}
-	if hit, _ := u.btbLookup(addr); hit {
+	if hit, _ := btbLookup(u, addr); hit {
 		t.Error("static mode updated the BTB")
 	}
 }
@@ -179,27 +195,27 @@ func TestStaticOnlyNeverLearns(t *testing.T) {
 func TestBTBSemantics(t *testing.T) {
 	u := New(testConfig())
 	addr, target := uint64(0x9000), uint64(0xa000)
-	l := u.Predict(0, addr)
+	l := predict(u, 0, addr)
 	if l.BTBHit {
 		t.Fatal("BTB hit before any execution")
 	}
 	// A not-taken branch must not install a BTB entry.
 	u.Commit(l, false, target)
-	if l := u.Predict(0, addr); l.BTBHit {
+	if l := predict(u, 0, addr); l.BTBHit {
 		t.Error("not-taken branch installed BTB entry")
 	}
 	// A taken branch installs it.
-	l = u.Predict(0, addr)
+	l = predict(u, 0, addr)
 	u.Commit(l, true, target)
-	l = u.Predict(0, addr)
+	l = predict(u, 0, addr)
 	if !l.BTBHit || l.Target != target {
 		t.Errorf("BTBHit=%v Target=%#x after taken commit", l.BTBHit, l.Target)
 	}
 	// An aliasing taken branch evicts it.
 	alias := addr + uint64(u.cfg.BTBEntries)
-	l = u.Predict(0, alias)
+	l = predict(u, 0, alias)
 	u.Commit(l, true, 0xbeef)
-	if l := u.Predict(0, addr); l.BTBHit {
+	if l := predict(u, 0, addr); l.BTBHit {
 		t.Error("BTB entry survived aliasing taken branch")
 	}
 }
@@ -207,7 +223,7 @@ func TestBTBSemantics(t *testing.T) {
 func TestGHRShifts(t *testing.T) {
 	u := New(testConfig())
 	for _, taken := range []bool{true, false, true, true} {
-		l := u.Predict(0, 0x10)
+		l := predict(u, 0, 0x10)
 		u.Commit(l, taken, 0)
 	}
 	if got := u.GHR(); got != 0b1011 {
@@ -220,7 +236,7 @@ func TestGHRMasked(t *testing.T) {
 	cfg.GHRBits = 3
 	u := New(cfg)
 	for i := 0; i < 10; i++ {
-		l := u.Predict(0, 0x10)
+		l := predict(u, 0, 0x10)
 		u.Commit(l, true, 0)
 	}
 	if got := u.GHR(); got != 0b111 {
@@ -230,13 +246,13 @@ func TestGHRMasked(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	u := New(testConfig())
-	l := u.Predict(0, 0x10)
+	l := predict(u, 0, 0x10)
 	u.Commit(l, true, 0x20)
 	u.Reset()
 	if u.GHR() != 0 || u.TagLive(0, 0x10) {
 		t.Error("Reset left state behind")
 	}
-	if hit, _ := u.btbLookup(0x10); hit {
+	if hit, _ := btbLookup(u, 0x10); hit {
 		t.Error("Reset left BTB entry")
 	}
 }
@@ -285,7 +301,7 @@ func TestSensitiveRangeStatic(t *testing.T) {
 	cfg.Mitigation = MitigationNoPredictSensitive
 	u := New(cfg)
 	u.MarkSensitive(0x1000, 0x2000)
-	l := u.Predict(0, 0x1800)
+	l := predict(u, 0, 0x1800)
 	if !l.Static {
 		t.Fatal("sensitive branch not statically predicted")
 	}
@@ -294,7 +310,7 @@ func TestSensitiveRangeStatic(t *testing.T) {
 		t.Error("sensitive branch allocated a tag")
 	}
 	// Outside the range prediction is dynamic.
-	if l := u.Predict(0, 0x3000); l.Static {
+	if l := predict(u, 0, 0x3000); l.Static {
 		t.Error("non-sensitive branch statically predicted")
 	}
 }
@@ -302,13 +318,13 @@ func TestSensitiveRangeStatic(t *testing.T) {
 func TestSnapshotRestore(t *testing.T) {
 	u := New(testConfig())
 	for i := 0; i < 50; i++ {
-		l := u.Predict(0, uint64(i*3))
+		l := predict(u, 0, uint64(i*3))
 		u.Commit(l, i%3 == 0, uint64(i))
 	}
 	snap := u.Snapshot()
 	ghr := u.GHR()
 	for i := 0; i < 50; i++ {
-		l := u.Predict(0, uint64(i*5))
+		l := predict(u, 0, uint64(i*5))
 		u.Commit(l, i%2 == 0, 0)
 	}
 	u.Restore(snap)
@@ -319,12 +335,12 @@ func TestSnapshotRestore(t *testing.T) {
 	// taken right after the snapshot point.
 	u2 := New(testConfig())
 	for i := 0; i < 50; i++ {
-		l := u2.Predict(0, uint64(i*3))
+		l := predict(u2, 0, uint64(i*3))
 		u2.Commit(l, i%3 == 0, uint64(i))
 	}
 	for i := 0; i < 20; i++ {
 		a := uint64(i * 7)
-		if u.Predict(0, a).Taken != u2.Predict(0, a).Taken {
+		if predict(u, 0, a).Taken != predict(u2, 0, a).Taken {
 			t.Fatalf("restored unit diverges at addr %#x", a)
 		}
 	}
@@ -347,19 +363,19 @@ func TestModeMitigationStrings(t *testing.T) {
 func TestCommitReportsAllocation(t *testing.T) {
 	u := New(testConfig())
 	addr := uint64(0x3000)
-	l := u.Predict(0, addr)
+	l := predict(u, 0, addr)
 	if !u.Commit(l, true, 0) {
 		t.Error("first commit did not report a tag allocation")
 	}
-	l = u.Predict(0, addr)
+	l = predict(u, 0, addr)
 	if u.Commit(l, true, 0) {
 		t.Error("repeat commit reported an allocation")
 	}
 	// Evict and return: allocation again.
 	alias := addr + uint64(u.cfg.TagEntries)
-	l = u.Predict(0, alias)
+	l = predict(u, 0, alias)
 	u.Commit(l, false, 0)
-	l = u.Predict(0, addr)
+	l = predict(u, 0, addr)
 	if !u.Commit(l, true, 0) {
 		t.Error("post-eviction commit did not report an allocation")
 	}
@@ -369,7 +385,7 @@ func TestStaticCommitReportsNoAllocation(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = StaticOnly
 	u := New(cfg)
-	l := u.Predict(0, 0x40)
+	l := predict(u, 0, 0x40)
 	if u.Commit(l, true, 0) {
 		t.Error("static commit reported an allocation")
 	}
@@ -377,17 +393,17 @@ func TestStaticCommitReportsNoAllocation(t *testing.T) {
 
 func TestFlushBTB(t *testing.T) {
 	u := New(testConfig())
-	l := u.Predict(0, 0x50)
+	l := predict(u, 0, 0x50)
 	u.Commit(l, true, 0x60)
-	if hit, _ := u.btbLookup(0x50); !hit {
+	if hit, _ := btbLookup(u, 0x50); !hit {
 		t.Fatal("BTB entry not installed")
 	}
 	u.FlushBTB()
-	if hit, _ := u.btbLookup(0x50); hit {
+	if hit, _ := btbLookup(u, 0x50); hit {
 		t.Error("BTB entry survived flush")
 	}
 	// Direction prediction is unaffected by the flush.
-	if !u.Predict(0, 0x50).Taken {
+	if !predict(u, 0, 0x50).Taken {
 		t.Error("direction state was clobbered by a BTB flush")
 	}
 }

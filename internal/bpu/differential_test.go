@@ -114,7 +114,7 @@ func TestDifferentialReferenceVsFast(t *testing.T) {
 				taken := r.Chance(0.6)
 				target := addr + 16 + r.Uint64n(256)
 
-				lf := fast.Predict(domain, addr)
+				lf := predict(fast, domain, addr)
 				lr := ref.Predict(domain, addr)
 				if lf.Taken != lr.Taken || lf.BTBHit != lr.BTBHit ||
 					lf.Target != lr.Target || lf.UsedGshare != lr.UsedGshare ||
@@ -158,7 +158,8 @@ func TestDifferentialSiteReuse(t *testing.T) {
 	cached := New(cfg)
 	fresh := New(cfg)
 	addr := uint64(0x9000)
-	site := cached.Resolve(1, addr)
+	var site Site
+	cached.Resolve(&site, 1, addr)
 	r := rng.New(42)
 	for step := 0; step < 4000; step++ {
 		if step == 2000 {
@@ -167,12 +168,13 @@ func TestDifferentialSiteReuse(t *testing.T) {
 			fresh.MarkSensitive(addr, addr+4)
 		}
 		taken := r.Chance(0.5)
-		lc := cached.PredictSite(&site)
-		lfr := fresh.Predict(1, addr)
-		if lc != lfr {
+		var lc Lookup
+		cached.Predict(&lc, &site)
+		lfr := predict(fresh, 1, addr)
+		if lc != *lfr {
 			t.Fatalf("step %d: cached site diverged from fresh predict:\ncached %+v\nfresh  %+v", step, lc, lfr)
 		}
-		cached.Commit(lc, taken, addr+32)
+		cached.Commit(&lc, taken, addr+32)
 		fresh.Commit(lfr, taken, addr+32)
 	}
 	if !reflect.DeepEqual(cached.Snapshot(), fresh.Snapshot()) {

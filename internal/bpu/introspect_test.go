@@ -19,7 +19,7 @@ func TestIntrospectCountsAndHeatmap(t *testing.T) {
 	// (still a mispredict on Textbook2Bit: WN predicts not-taken).
 	misses := uint64(0)
 	for i := 0; i < 4; i++ {
-		l := u.Predict(0, addr)
+		l := predict(u, 0, addr)
 		if l.Taken != true {
 			misses++
 		}
@@ -58,7 +58,7 @@ func TestIntrospectStaticExcluded(t *testing.T) {
 	cfg.Mode = StaticOnly
 	u := New(cfg)
 	for i := 0; i < 8; i++ {
-		l := u.Predict(0, 0x400100)
+		l := predict(u, 0, 0x400100)
 		u.Commit(l, true, 0x400164) // always mispredicted, never counted
 	}
 	in := u.Introspect()
@@ -73,7 +73,7 @@ func TestIntrospectStaticExcluded(t *testing.T) {
 func TestDiagnosticsSurviveSnapshotRestore(t *testing.T) {
 	u := New(testConfig())
 	snap := u.Snapshot()
-	l := u.Predict(0, 0x400100)
+	l := predict(u, 0, 0x400100)
 	u.Commit(l, true, 0x400164)
 	before := u.Introspect()
 	u.Restore(snap)
@@ -99,7 +99,7 @@ func TestIntrospectionJSONDeterministic(t *testing.T) {
 	build := func() []byte {
 		u := New(testConfig())
 		for i := 0; i < 32; i++ {
-			l := u.Predict(0, 0x400000+uint64(i)*6)
+			l := predict(u, 0, 0x400000+uint64(i)*6)
 			u.Commit(l, i%3 == 0, 0x500000)
 		}
 		data, err := json.Marshal(u.Introspect())
@@ -118,7 +118,7 @@ func TestIntrospectionJSONDeterministic(t *testing.T) {
 	in := u.Introspect()
 	entry0 := in.PHT.Entries[0]
 	for i := 0; i < 8; i++ {
-		l := u.Predict(0, 0x400100)
+		l := predict(u, 0, 0x400100)
 		u.Commit(l, true, 0x400164)
 	}
 	if in.PHT.Entries[0] != entry0 || in.Commits != 0 {

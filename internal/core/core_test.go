@@ -159,18 +159,19 @@ func TestFocusedBlockEvictsTargetTag(t *testing.T) {
 func TestProbePMCReflectsPrediction(t *testing.T) {
 	_, spy := newSpy(t, uarch.Haswell(), 3)
 	const addr = 0x7000
+	rb := spy.ResolveBranch(addr)
 	// Train strongly taken; probing taken twice must be HH.
 	for i := 0; i < 4; i++ {
 		spy.Branch(addr, true)
 	}
-	if got := ProbePMC(spy, addr, true); got != PatternHH {
+	if got := ProbePMC(spy, &rb, true).Pattern(); got != PatternHH {
 		t.Errorf("probe TT from ST = %s, want HH", got)
 	}
 	// Re-train and probe not-taken twice: MM (textbook ST -> WT).
 	for i := 0; i < 4; i++ {
 		spy.Branch(addr, true)
 	}
-	if got := ProbePMC(spy, addr, false); got != PatternMM {
+	if got := ProbePMC(spy, &rb, false).Pattern(); got != PatternMM {
 		t.Errorf("probe NN from ST = %s, want MM", got)
 	}
 }
@@ -187,7 +188,8 @@ func TestProbeTSCLatenciesOrdered(t *testing.T) {
 			spy.Branch(a+aliasOffset, true)
 		}
 		spy.Branch(a, true) // warm code
-		s := ProbeTSC(spy, a, true)
+		rb := spy.ResolveBranch(a)
+		s := ProbeTSC(spy, &rb, true)
 		hitSum += s.First + s.Second
 
 		a += 32 // separate line
@@ -195,7 +197,8 @@ func TestProbeTSCLatenciesOrdered(t *testing.T) {
 			spy.Branch(a+aliasOffset, false)
 		}
 		spy.Branch(a, true) // warm code; miss
-		s = ProbeTSC(spy, a, true)
+		rb = spy.ResolveBranch(a)
+		s = ProbeTSC(spy, &rb, true)
 		missSum += s.First + s.Second
 	}
 	if missSum <= hitSum {

@@ -62,10 +62,11 @@ func (m *Mapper) MapStates(start uint64, count int, blockBranches int) []StateCl
 	states := make([]StateClass, count)
 	for i := 0; i < count; i++ {
 		a := start + uint64(i)
+		rb := m.spy.ResolveBranch(a)
 		m.core.Restore(snap)
-		patTT := ProbePMC(m.spy, a, true)
+		patTT := ProbePMC(m.spy, &rb, true).Pattern()
 		m.core.Restore(snap)
-		patNN := ProbePMC(m.spy, a, false)
+		patNN := ProbePMC(m.spy, &rb, false).Pattern()
 		states[i] = DecodeState(patTT, patNN)
 	}
 	m.core.Restore(snap)

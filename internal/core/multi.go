@@ -114,6 +114,7 @@ type MultiSession struct {
 	cfg     MultiConfig
 	block   *Block
 	targets []MultiTarget
+	probes  []cpu.ResolvedBranch // targets[i]'s resolved spy branch
 }
 
 // generateMultiBlock builds a focused block whose alias branches cover
@@ -191,14 +192,14 @@ func (m *MultiSession) selfVerify(r *rng.Source, rounds, needed int) bool {
 	// Second, a decode slip or two is ambient noise, not a blind
 	// dictionary; demanding perfection would reject a large share of
 	// good blocks once many targets multiply the check count.
-	for _, t := range m.targets {
+	for i, t := range m.targets {
 		correct := [2]int{}
 		seen := [2]int{}
 		for round := 0; round < 2*rounds; round++ {
 			dir := r.Bool()
 			m.Prime()
 			m.spy.Branch(t.Addr, dir) // the spy mimics the victim
-			pat := ProbePMC(m.spy, t.Addr, t.ProbeTaken)
+			pat := ProbePMC(m.spy, &m.probes[i], t.ProbeTaken).Pattern()
 			idx := 0
 			if dir {
 				idx = 1
@@ -245,6 +246,9 @@ func NewMultiSession(spy *cpu.Context, r *rng.Source, cfg MultiConfig) (*MultiSe
 			continue
 		}
 		ms := &MultiSession{spy: spy, cfg: cfg, block: block, targets: targets}
+		for _, t := range targets {
+			ms.probes = append(ms.probes, spy.ResolveBranch(t.Addr))
+		}
 		// Cheap filter, then a rigorous confirmation of the survivor.
 		if ms.selfVerify(r, 6, 5) && ms.selfVerify(r, 30, 27) {
 			st.end(cand+1, "usable")
@@ -270,7 +274,7 @@ func (m *MultiSession) Prime() { m.block.Run(m.spy) }
 func (m *MultiSession) ProbeAll() []bool {
 	out := make([]bool, len(m.targets))
 	for i, t := range m.targets {
-		pat := ProbePMC(m.spy, t.Addr, t.ProbeTaken)
+		pat := ProbePMC(m.spy, &m.probes[i], t.ProbeTaken).Pattern()
 		out[i] = DecodeBitFrom(t.Primed, pat)
 	}
 	return out

@@ -2,34 +2,29 @@ package core
 
 import "branchscope/internal/cpu"
 
-// ProbePMC performs one probe operation (§6.1 stage 3): it executes the
-// spy branch at addr twice with the given direction, reading the
-// branch-misprediction performance counter around each execution, and
-// returns the observed pattern. This is the Listing 3 spy_function.
-func ProbePMC(ctx *cpu.Context, addr uint64, taken bool) Pattern {
-	m0, m1, m2 := ProbePMCReadings(ctx, addr, taken)
-	return MakePattern(m1 > m0, m2 > m1)
-}
+// PMCReadings are the three branch-misprediction counter readings that
+// bracket the two spy-branch executions of one PMC probe.
+type PMCReadings struct{ M0, M1, M2 uint64 }
 
-// ProbePMCReadings performs the same probe but returns the three raw
-// counter readings: the session's health gate inspects them for
-// implausible values before the pattern is decoded (see DegradeConfig).
-func ProbePMCReadings(ctx *cpu.Context, addr uint64, taken bool) (m0, m1, m2 uint64) {
-	rb := ctx.ResolveBranch(addr)
-	return ProbePMCReadingsResolved(ctx, &rb, taken)
-}
+// Pattern decodes the readings into the probe's observation pattern.
+func (r PMCReadings) Pattern() Pattern { return MakePattern(r.M1 > r.M0, r.M2 > r.M1) }
 
-// ProbePMCReadingsResolved is ProbePMCReadings over a pre-resolved spy
-// branch: attack sessions probe the same target address millions of
-// times, so they resolve its predictor indexes once at construction and
-// pay only the two branch executions per probe.
-func ProbePMCReadingsResolved(ctx *cpu.Context, rb *cpu.ResolvedBranch, taken bool) (m0, m1, m2 uint64) {
-	m0 = ctx.ReadPMC(cpu.BranchMisses)
+// ProbePMC performs one probe operation (§6.1 stage 3), the Listing 3
+// spy_function: it executes the resolved spy branch rb twice on ctx
+// with the given direction, reading the branch-misprediction performance
+// counter around each execution. Most callers decode the Pattern; the
+// session's health gate first inspects the raw readings for implausible
+// values (see DegradeConfig). Attackers probe the same addresses many
+// times, so they resolve each spy branch once and pay only the two
+// branch executions per probe.
+func ProbePMC(ctx *cpu.Context, rb *cpu.ResolvedBranch, taken bool) PMCReadings {
+	var r PMCReadings
+	r.M0 = ctx.ReadPMC(cpu.BranchMisses)
 	rb.Execute(taken)
-	m1 = ctx.ReadPMC(cpu.BranchMisses)
+	r.M1 = ctx.ReadPMC(cpu.BranchMisses)
 	rb.Execute(taken)
-	m2 = ctx.ReadPMC(cpu.BranchMisses)
-	return m0, m1, m2
+	r.M2 = ctx.ReadPMC(cpu.BranchMisses)
+	return r
 }
 
 // TSCSample is the raw material of a timing probe: the rdtscp-measured
@@ -39,17 +34,11 @@ type TSCSample struct {
 	Second uint64
 }
 
-// ProbeTSC performs one probe operation measuring each branch execution
-// with the timestamp counter instead of the PMC. The caller classifies
-// the latencies against a calibrated threshold (see TimingDetector).
-func ProbeTSC(ctx *cpu.Context, addr uint64, taken bool) TSCSample {
-	rb := ctx.ResolveBranch(addr)
-	return ProbeTSCResolved(ctx, &rb, taken)
-}
-
-// ProbeTSCResolved is ProbeTSC over a pre-resolved spy branch (see
-// ProbePMCReadingsResolved).
-func ProbeTSCResolved(ctx *cpu.Context, rb *cpu.ResolvedBranch, taken bool) TSCSample {
+// ProbeTSC performs one probe operation measuring each execution of the
+// resolved spy branch with the timestamp counter instead of the PMC.
+// The caller classifies the latencies against a calibrated threshold
+// (see TimingDetector).
+func ProbeTSC(ctx *cpu.Context, rb *cpu.ResolvedBranch, taken bool) TSCSample {
 	t0 := ctx.ReadTSC()
 	rb.Execute(taken)
 	t1 := ctx.ReadTSC()

@@ -156,8 +156,10 @@ func analyze(ctx *cpu.Context, b *Block, addrs []uint64, reps int, stability flo
 func observe(ctx *cpu.Context, b *Block, addrs []uint64, taken bool, reps int,
 	onRep func(), need int, allowed []patternSet, pats [][]Pattern) bool {
 	counts := make([][4]int, len(addrs))
-	for i := range pats {
+	rbs := make([]cpu.ResolvedBranch, len(addrs))
+	for i, addr := range addrs {
 		pats[i] = make([]Pattern, 0, reps)
+		rbs[i] = ctx.ResolveBranch(addr)
 	}
 	for rep := 0; rep < reps; rep++ {
 		for i := range allowed {
@@ -169,8 +171,8 @@ func observe(ctx *cpu.Context, b *Block, addrs []uint64, taken bool, reps int,
 		if onRep != nil {
 			onRep()
 		}
-		for i, addr := range addrs {
-			p := ProbePMC(ctx, addr, taken)
+		for i := range rbs {
+			p := ProbePMC(ctx, &rbs[i], taken).Pattern()
 			pats[i] = append(pats[i], p)
 			counts[i][p.index()]++
 		}

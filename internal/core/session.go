@@ -241,14 +241,14 @@ func (s *Session) Prime() {
 // degraded the session (see degrade.go).
 func (s *Session) Probe() Pattern {
 	if s.cfg.UseTiming || s.degraded {
-		sample := ProbeTSCResolved(s.spy, &s.probeRB, true)
+		sample := ProbeTSC(s.spy, &s.probeRB, true)
 		s.noteProbe(sample.First, sample.Second, true)
 		return MakePattern(s.detector.Miss(sample.First), s.detector.Miss(sample.Second))
 	}
-	m0, m1, m2 := ProbePMCReadingsResolved(s.spy, &s.probeRB, true)
-	s.observePMCHealth(m0, m1, m2)
-	s.noteProbe(satSub(m1, m0), satSub(m2, m1), false)
-	return MakePattern(m1 > m0, m2 > m1)
+	r := ProbePMC(s.spy, &s.probeRB, true)
+	s.observePMCHealth(r.M0, r.M1, r.M2)
+	s.noteProbe(satSub(r.M1, r.M0), satSub(r.M2, r.M1), false)
+	return r.Pattern()
 }
 
 // noteProbe stashes the raw probe signal of the in-flight episode for

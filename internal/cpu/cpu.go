@@ -256,18 +256,8 @@ func (c *Core) Timing() Timing { return c.timing }
 // Clock returns the current cycle count.
 func (c *Core) Clock() uint64 { return c.clock }
 
-// icacheAccess models one instruction fetch: returns the extra cycles
-// charged (zero on a hit).
-func (c *Core) icacheAccess(domain, addr uint64) uint64 {
-	extra, miss := c.icacheTouch(domain, addr)
-	if miss {
-		c.ctr.icacheMisses.Inc()
-	}
-	return extra
-}
-
-// icacheTouch is icacheAccess without the telemetry increment, so the
-// batched executor can count misses locally and flush one Add per run.
+// icacheTouch models one instruction fetch: it returns the extra cycles
+// charged (zero on a hit) and whether the line missed.
 func (c *Core) icacheTouch(domain, addr uint64) (extra uint64, miss bool) {
 	line := addr >> 6
 	e := &c.icache[line%ICacheLines]
@@ -387,6 +377,63 @@ func (x *Context) SetHook(h Hook) { x.hook = h }
 // scheduler's hook rather than replace it.
 func (x *Context) Hook() Hook { return x.hook }
 
+// op is one resolved instruction: a conditional branch at addr with
+// direction taken when branch is set (site holds its predictor indexes),
+// otherwise a non-branch instruction at addr. A taken branch's target is
+// always the fall-through convention addr+16.
+type op struct {
+	site   bpu.Site
+	addr   uint64
+	taken  bool
+	branch bool
+}
+
+// exec retires ops in order on the context. It is the whole per-op
+// timing and predictor model — icache fetch, predict, misprediction and
+// BTB penalties, jitter, commit, PMC and telemetry counts, retire hook
+// after each op — behind Branch, Nop, ResolvedBranch and ExecPlan, so
+// every way of executing an instruction evolves the machine
+// identically. Single instructions pass a one-op slice; plans pass
+// their whole program, so a batched run pays no call per op.
+func (x *Context) exec(ops []op) {
+	c := x.core
+	for i := range ops {
+		o := &ops[i]
+		extra, miss := c.icacheTouch(x.domain, o.addr)
+		if miss {
+			c.ctr.icacheMisses.Inc()
+		}
+		x.pmc[Instructions]++
+		c.ctr.instructions.Inc()
+		if !o.branch {
+			c.clock += c.timing.BaseInstr + extra
+			x.retire(false)
+			continue
+		}
+		cost := c.timing.BranchBase + extra
+		var l bpu.Lookup
+		c.bpuUnit.Predict(&l, &o.site)
+		if l.Taken != o.taken {
+			cost += c.timing.MispredictPenalty
+			x.pmc[BranchMisses]++
+			c.ctr.misses.Inc()
+		}
+		if o.taken && !l.BTBHit {
+			cost += c.timing.BTBMissPenalty
+			c.ctr.btbMisses.Inc()
+		}
+		cost += c.jitter()
+		if c.bpuUnit.Commit(&l, o.taken, o.addr+16) {
+			x.pmc[BranchAllocations]++
+			c.ctr.allocations.Inc()
+		}
+		c.clock += cost
+		x.pmc[BranchInstructions]++
+		c.ctr.branches.Inc()
+		x.retire(true)
+	}
+}
+
 func (x *Context) retire(isBranch bool) {
 	if x.hook != nil {
 		x.hook(isBranch)
@@ -394,48 +441,11 @@ func (x *Context) retire(isBranch bool) {
 }
 
 // Branch executes one conditional branch instruction at addr with the
-// given actual direction. The fall-through target convention is
-// addr+targetStride for taken branches; use BranchTo when the target
-// matters (BTB experiments).
+// given actual direction.
 func (x *Context) Branch(addr uint64, taken bool) {
-	x.BranchTo(addr, taken, addr+16)
-}
-
-// BranchTo executes one conditional branch with an explicit taken-target.
-func (x *Context) BranchTo(addr uint64, taken bool, target uint64) {
-	s := x.core.bpuUnit.Resolve(x.domain, addr)
-	x.branchSite(&s, taken, target)
-}
-
-// branchSite executes one branch through a previously resolved site: the
-// shared serial execution path behind BranchTo, ResolvedBranch and the
-// hooked ExecPlan fallback.
-func (x *Context) branchSite(s *bpu.Site, taken bool, target uint64) {
-	c := x.core
-	cost := c.timing.BranchBase
-	cost += c.icacheAccess(x.domain, s.Addr())
-	var l bpu.Lookup
-	c.bpuUnit.PredictSiteInto(&l, s)
-	if l.Taken != taken {
-		cost += c.timing.MispredictPenalty
-		x.pmc[BranchMisses]++
-		c.ctr.misses.Inc()
-	}
-	if taken && !l.BTBHit {
-		cost += c.timing.BTBMissPenalty
-		c.ctr.btbMisses.Inc()
-	}
-	cost += c.jitter()
-	if c.bpuUnit.CommitRef(&l, taken, target) {
-		x.pmc[BranchAllocations]++
-		c.ctr.allocations.Inc()
-	}
-	c.clock += cost
-	x.pmc[Instructions]++
-	x.pmc[BranchInstructions]++
-	c.ctr.instructions.Inc()
-	c.ctr.branches.Inc()
-	x.retire(true)
+	ops := [1]op{{addr: addr, taken: taken, branch: true}}
+	x.core.bpuUnit.Resolve(&ops[0].site, x.domain, addr)
+	x.exec(ops[:])
 }
 
 // ResolvedBranch caches the BPU site resolution for one (context,
@@ -444,50 +454,30 @@ func (x *Context) branchSite(s *bpu.Site, taken bool, target uint64) {
 // computations. The zero value is not usable; obtain one from
 // ResolveBranch and keep it by value (no heap allocation).
 type ResolvedBranch struct {
-	x      *Context
-	site   bpu.Site
-	target uint64
+	x  *Context
+	op [1]op // a one-op program for exec
 }
 
-// ResolveBranch resolves the branch at addr for this context, with the
-// default fall-through target convention of Branch (addr+16).
+// ResolveBranch resolves the branch at addr for this context.
 func (x *Context) ResolveBranch(addr uint64) ResolvedBranch {
-	return ResolvedBranch{
-		x:      x,
-		site:   x.core.bpuUnit.Resolve(x.domain, addr),
-		target: addr + 16,
-	}
+	rb := ResolvedBranch{x: x, op: [1]op{{addr: addr, branch: true}}}
+	x.core.bpuUnit.Resolve(&rb.op[0].site, x.domain, addr)
+	return rb
 }
-
-// Addr returns the resolved branch's address.
-func (rb *ResolvedBranch) Addr() uint64 { return rb.site.Addr() }
 
 // Execute runs the resolved branch once with the given direction; it is
 // observationally identical to Context.Branch at the same address.
 func (rb *ResolvedBranch) Execute(taken bool) {
-	rb.x.branchSite(&rb.site, taken, rb.target)
-}
-
-// BranchRepeat executes n consecutive branches at addr with the same
-// direction — the prime-burst shape of the attack loops — resolving the
-// site once.
-func (x *Context) BranchRepeat(addr uint64, taken bool, n int) {
-	rb := x.ResolveBranch(addr)
-	for i := 0; i < n; i++ {
-		rb.Execute(taken)
-	}
+	rb.op[0].taken = taken
+	rb.x.exec(rb.op[:])
 }
 
 // Nop executes one non-branch instruction at addr (the address matters:
 // it occupies icache space and, in attacker blocks, shifts subsequent
 // branch addresses — the Listing 1 randomization trick).
 func (x *Context) Nop(addr uint64) {
-	c := x.core
-	cost := c.timing.BaseInstr + c.icacheAccess(x.domain, addr)
-	c.clock += cost
-	x.pmc[Instructions]++
-	c.ctr.instructions.Inc()
-	x.retire(false)
+	ops := [1]op{{addr: addr}}
+	x.exec(ops[:])
 }
 
 // Work executes n generic non-branch instructions that are not
@@ -495,10 +485,10 @@ func (x *Context) Nop(addr uint64) {
 // instruction counter.
 func (x *Context) Work(n uint64) {
 	c := x.core
-	c.ctr.instructions.Add(n)
 	for i := uint64(0); i < n; i++ {
 		c.clock += c.timing.BaseInstr
 		x.pmc[Instructions]++
+		c.ctr.instructions.Inc()
 		x.retire(false)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"branchscope/internal/bpu"
 	"branchscope/internal/fsm"
+	"branchscope/internal/telemetry"
 )
 
 func planTestCore(seed uint64) *Core {
@@ -21,14 +22,45 @@ func planTestCore(seed uint64) *Core {
 	}, DefaultTiming(), seed)
 }
 
+// coreCounterNames are the core-wide telemetry counters every executor
+// must advance identically.
+var coreCounterNames = []string{
+	"cpu.instructions", "cpu.branches", "cpu.branch_misses",
+	"cpu.branch_allocations", "cpu.btb_misses", "cpu.icache_misses",
+}
+
 // TestPlanMatchesSerialExecution pins the ExecPlan contract: a batched
-// run must leave the machine — clock, PMCs, predictor state, icache,
-// and the randomness stream — in exactly the state the equivalent
-// serial Branch/Nop calls produce.
+// run — with or without a retire hook installed — must leave the
+// machine (clock, PMCs, core telemetry counters, predictor state,
+// icache, and the randomness stream) in exactly the state the
+// equivalent serial Branch/Nop calls produce, and a hooked run must
+// observe the same PMCs as serial execution at every hook delivery.
 func TestPlanMatchesSerialExecution(t *testing.T) {
-	serialCore, batchCore := planTestCore(77), planTestCore(77)
-	serial := serialCore.NewContext(1)
-	batch := batchCore.NewContext(1)
+	type executor struct {
+		name string
+		core *Core
+		x    *Context
+		reg  *telemetry.Registry
+		seen [][numEvents]uint64 // PMCs read at each hook delivery
+	}
+	newExecutor := func(name string, hooked bool) *executor {
+		e := &executor{name: name, core: planTestCore(77), reg: telemetry.NewRegistry()}
+		e.core.SetTelemetry(telemetry.New(e.reg, nil))
+		e.x = e.core.NewContext(1)
+		if hooked {
+			e.x.SetHook(func(bool) {
+				var pmc [numEvents]uint64
+				for ev := range pmc {
+					pmc[ev] = e.x.ReadPMC(Event(ev))
+				}
+				e.seen = append(e.seen, pmc)
+			})
+		}
+		return e
+	}
+	serial := newExecutor("serial", true)
+	batch := newExecutor("batched", false)
+	hooked := newExecutor("hooked plan", true)
 
 	type op struct {
 		addr   uint64
@@ -42,42 +74,64 @@ func TestPlanMatchesSerialExecution(t *testing.T) {
 		ops = append(ops, op{addr: a, branch: i%5 != 0, taken: i%3 == 0})
 	}
 
-	plan := batch.NewPlan(len(ops))
-	for _, o := range ops {
-		if o.branch {
-			plan.Branch(o.addr, o.taken)
-		} else {
-			plan.Nop(o.addr)
+	var plans []*ExecPlan
+	for _, e := range []*executor{batch, hooked} {
+		plan := e.x.NewPlan(len(ops))
+		for _, o := range ops {
+			if o.branch {
+				plan.Branch(o.addr, o.taken)
+			} else {
+				plan.Nop(o.addr)
+			}
 		}
+		plans = append(plans, plan)
 	}
 
 	for rep := 0; rep < 50; rep++ {
+		serial.seen, hooked.seen = serial.seen[:0], hooked.seen[:0]
 		for _, o := range ops {
 			if o.branch {
-				serial.Branch(o.addr, o.taken)
+				serial.x.Branch(o.addr, o.taken)
 			} else {
-				serial.Nop(o.addr)
+				serial.x.Nop(o.addr)
 			}
 		}
-		plan.Run()
+		for _, plan := range plans {
+			plan.Run()
+		}
 
-		if serialCore.Clock() != batchCore.Clock() {
-			t.Fatalf("rep %d: clock diverged: serial %d batch %d", rep, serialCore.Clock(), batchCore.Clock())
-		}
-		for e := Event(0); e < numEvents; e++ {
-			if sv, bv := serial.ReadPMC(e), batch.ReadPMC(e); sv != bv {
-				t.Fatalf("rep %d: PMC %v diverged: serial %d batch %d", rep, e, sv, bv)
+		for _, e := range []*executor{batch, hooked} {
+			if serial.core.Clock() != e.core.Clock() {
+				t.Fatalf("rep %d: clock diverged: serial %d %s %d", rep, serial.core.Clock(), e.name, e.core.Clock())
 			}
+			for ev := Event(0); ev < numEvents; ev++ {
+				if sv, v := serial.x.ReadPMC(ev), e.x.ReadPMC(ev); sv != v {
+					t.Fatalf("rep %d: PMC %v diverged: serial %d %s %d", rep, ev, sv, e.name, v)
+				}
+			}
+			for _, name := range coreCounterNames {
+				if sv, v := serial.reg.Counter(name).Value(), e.reg.Counter(name).Value(); sv != v {
+					t.Fatalf("rep %d: %s diverged: serial %d %s %d", rep, name, sv, e.name, v)
+				}
+			}
+		}
+		if len(serial.seen) != len(ops) || !reflect.DeepEqual(serial.seen, hooked.seen) {
+			t.Fatalf("rep %d: hook deliveries diverged: serial %d, hooked plan %d", rep, len(serial.seen), len(hooked.seen))
 		}
 	}
-	if !reflect.DeepEqual(serialCore.Snapshot(), batchCore.Snapshot()) {
-		t.Fatal("core state diverged between serial and batched execution")
+	if serial.reg.Counter("cpu.icache_misses").Value() == 0 || serial.reg.Counter("cpu.branch_misses").Value() == 0 {
+		t.Fatal("stream exercised no icache misses or mispredictions")
+	}
+	for _, e := range []*executor{batch, hooked} {
+		if !reflect.DeepEqual(serial.core.Snapshot(), e.core.Snapshot()) {
+			t.Fatalf("core state diverged between serial and %s execution", e.name)
+		}
 	}
 }
 
-// TestPlanHookedFallback pins that a context with a retire hook gets
+// TestPlanHookDelivery pins that a context with a retire hook gets
 // per-op hook delivery from Run, in order, with correct branch flags.
-func TestPlanHookedFallback(t *testing.T) {
+func TestPlanHookDelivery(t *testing.T) {
 	core := planTestCore(5)
 	x := core.NewContext(1)
 	var got []bool
@@ -95,8 +149,7 @@ func TestPlanHookedFallback(t *testing.T) {
 	}
 }
 
-// TestResolvedBranchMatchesBranch pins ResolvedBranch/BranchRepeat
-// against per-call Branch on identically seeded cores.
+// TestResolvedBranchMatchesBranch pins ResolvedBranch against per-call Branch on identically seeded cores.
 func TestResolvedBranchMatchesBranch(t *testing.T) {
 	serialCore, cachedCore := planTestCore(9), planTestCore(9)
 	serial := serialCore.NewContext(2)
@@ -109,8 +162,11 @@ func TestResolvedBranchMatchesBranch(t *testing.T) {
 		serial.Branch(addr, taken)
 		rb.Execute(taken)
 	}
-	serial.BranchRepeat(addr+64, true, 100) // same-machine API sanity
-	cached.BranchRepeat(addr+64, true, 100)
+	rb = cached.ResolveBranch(addr + 64)
+	for i := 0; i < 100; i++ {
+		serial.Branch(addr+64, true)
+		rb.Execute(true)
+	}
 
 	if serialCore.Clock() != cachedCore.Clock() {
 		t.Fatalf("clock diverged: serial %d cached %d", serialCore.Clock(), cachedCore.Clock())

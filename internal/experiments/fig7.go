@@ -21,7 +21,10 @@ const aliasStride = uint64(1) << 30
 // primeVia drives the PHT entry of target into the strong state for dir
 // using an aliased branch, leaving target's own icache line untouched.
 func primeVia(hw *cpu.Context, target uint64, dir bool, times int) {
-	hw.BranchRepeat(target+aliasStride, dir, times)
+	rb := hw.ResolveBranch(target + aliasStride)
+	for i := 0; i < times; i++ {
+		rb.Execute(dir)
+	}
 }
 
 // Fig7Config parameterizes the §8 branch latency characterization:

@@ -121,7 +121,8 @@ func RunFig9(ctx context.Context, cfg Fig9Config) (Fig9Result, error) {
 				for _, dir := range primeSeq {
 					prime.Execute(dir)
 				}
-				sample := core.ProbeTSC(hw, addr, probeTaken)
+				probe := hw.ResolveBranch(addr)
+				sample := core.ProbeTSC(hw, &probe, probeTaken)
 				first.Add(float64(sample.First))
 				second.Add(float64(sample.Second))
 			}

@@ -46,7 +46,8 @@ func RunTable1(ctx context.Context, m uarch.Model, seed uint64) (Table1Result, e
 					hw.Branch(addr, dirs[prime[i]])
 				}
 				hw.Branch(addr, dirs[target[0]])
-				pat := core.ProbePMC(hw, addr, dirs[probe[0]])
+				rb := hw.ResolveBranch(addr)
+				pat := core.ProbePMC(hw, &rb, dirs[probe[0]]).Pattern()
 				res.Entries = append(res.Entries, Table1Row{
 					Prime: prime, Target: target, Probe: probe, Observation: pat,
 				})

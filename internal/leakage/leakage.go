@@ -128,7 +128,7 @@ type Report struct {
 	// Unknown counts bits the read path gave up on.
 	Unknown uint64 `json:"unknown"`
 	// WrongKnown counts bits decoded confidently and wrongly.
-	WrongKnown uint64 `json:"wrong_known"`
+	WrongKnown uint64    `json:"wrong_known"`
 	Confusion  Confusion `json:"confusion"`
 	// BitErrorRate is (wrong-known + unknown/2) / bits — the covert
 	// harness's scoring, with an Unknown an admitted coin flip.

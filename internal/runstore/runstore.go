@@ -56,9 +56,9 @@ const ManifestName = "manifest.json"
 // Config values must be plain JSON types (strings, bools, numbers) so
 // the identity survives a marshal round trip unchanged.
 type Identity struct {
-	Program  string   `json:"program"`
-	BaseSeed uint64   `json:"base_seed"`
-	Quick    bool     `json:"quick"`
+	Program  string `json:"program"`
+	BaseSeed uint64 `json:"base_seed"`
+	Quick    bool   `json:"quick"`
 	// Tasks is the ordered task-ID list — the invocation family. A
 	// different selection or order is a different run.
 	Tasks []string `json:"tasks"`

@@ -65,6 +65,25 @@ func TestSystemTelemetry(t *testing.T) {
 	}
 }
 
+// TestWorkCountsRetiredInstructions pins that cpu.instructions counts a
+// Work instruction when it retires, so a thread preempted or killed
+// inside Work leaves the counter equal to the Instructions PMC.
+func TestWorkCountsRetiredInstructions(t *testing.T) {
+	sys := NewSystem(uarch.Skylake(), 1)
+	set := telemetry.New(telemetry.NewRegistry(), nil)
+	sys.SetTelemetry(set)
+	th := sys.Spawn("worker", func(ctx *cpu.Context) { ctx.Work(100) })
+	counter := set.Metrics.Counter("cpu.instructions")
+	th.Step(10)
+	if got, pmc := counter.Value(), th.Context().ReadPMC(cpu.Instructions); got != 10 || pmc != 10 {
+		t.Errorf("after Step(10) inside Work(100): cpu.instructions = %d, PMC = %d, want 10 and 10", got, pmc)
+	}
+	th.Kill()
+	if got := counter.Value(); got != 10 {
+		t.Errorf("after Kill: cpu.instructions = %d, want 10", got)
+	}
+}
+
 // TestTelemetryDisabledThreads pins the nil fast path: without
 // SetTelemetry, contexts get tid 0 and stepping emits nothing.
 func TestTelemetryDisabledThreads(t *testing.T) {

@@ -48,19 +48,6 @@ func MeanUint64(xs []uint64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDevUint64 returns the population standard deviation of unsigned
-// samples.
-func StdDevUint64(xs []uint64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return StdDev(fs)
-}
-
 // Median returns the median of xs (the mean of the two central elements
 // for even lengths), or 0 for an empty slice. xs is not modified.
 func Median(xs []float64) float64 {
@@ -222,15 +209,6 @@ func Summarize(xs []float64) Summary {
 		}
 	}
 	return s
-}
-
-// SummarizeUint64 computes a Summary of unsigned samples.
-func SummarizeUint64(xs []uint64) Summary {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Summarize(fs)
 }
 
 // String renders the summary as "mean ± stddev (n=N)".

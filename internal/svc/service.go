@@ -219,13 +219,13 @@ type Service struct {
 	log        *slog.Logger
 	jnl        *journal
 
-	mu         sync.Mutex
-	jobs       map[string]*job
-	order      []*job            // submission order, for listings
-	queues     map[string][]*job // per-tenant FIFO of queued jobs
-	tenantSeen []string          // tenant first-seen order, for round-robin
-	lastServed string            // tenant that last received a slot
-	running    map[string]int    // per-tenant running counts
+	mu           sync.Mutex
+	jobs         map[string]*job
+	order        []*job            // submission order, for listings
+	queues       map[string][]*job // per-tenant FIFO of queued jobs
+	tenantSeen   []string          // tenant first-seen order, for round-robin
+	lastServed   string            // tenant that last received a slot
+	running      map[string]int    // per-tenant running counts
 	totalRunning int
 	totalQueued  int
 	seq          int
