@@ -307,38 +307,6 @@ func TestResumeRejectsForeignRunID(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsTornMiddleRecord: a truncated record with valid
-// content after it is mid-file damage and must fail loudly — only a
-// torn *final* line (crash mid-append) may be dropped.
-func TestLoadRejectsTornMiddleRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "torn.journal")
-	j, err := Create(path, Header{Program: "test", Tasks: []string{"a", "b"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Append(TaskRecord{ID: "a", Outcome: "ok", ResultText: "result a\n"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Append(TaskRecord{ID: "b", Outcome: "ok", ResultText: "result b\n"}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(data, []byte("\n"))
-	// Tear record "a" in half, keeping record "b" intact after it.
-	lines[1] = lines[1][:len(lines[1])/2]
-	if err := os.WriteFile(path, bytes.Join(lines, []byte("\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := Load(path); err == nil {
-		t.Fatal("torn middle record loaded without error (silent truncation)")
-	}
-}
-
 // FuzzLoadTornMiddleRecord drives the mid-journal damage invariant: cut
 // an arbitrary byte range out of a middle line and Load must either
 // fail loudly or (when the cut removed nothing) return every record —

@@ -12,24 +12,23 @@
 //	{"sum":"crc32:<8 hex>","header":{...}}   (first line)
 //	{"sum":"crc32:<8 hex>","task":{...}}     (every further line)
 //
-// where the checksum covers the exact payload bytes. Records are
-// flushed and fsynced as tasks complete, so the file never lies about
-// a task that was reported done. The initial header is written via
-// temp-file+rename (the journal exists atomically or not at all), and
-// Resume compacts the surviving records the same way before appending.
-// A torn final line — the crash arriving mid-append — is expected and
-// dropped on load; a corrupt line anywhere earlier is real damage and
-// fails the load.
+// where the checksum covers the exact payload bytes (the internal/durable
+// frame). Records are fsynced as tasks complete, so the file never lies
+// about a task that was reported done. The journal is published whole
+// by durable.Create — on New, and again when Resume compacts the
+// surviving records — and its directory entry is fsynced before the
+// first record's append returns, so the claim holds across power loss,
+// not just a process kill. A torn final line — the crash arriving
+// mid-append — is expected and dropped on load; a corrupt line anywhere
+// earlier is real damage and fails the load.
 package campaign
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
-	"sync"
+
+	"branchscope/internal/durable"
 )
 
 // Schema versions journal records; bump on incompatible change.
@@ -79,93 +78,33 @@ func (r TaskRecord) Completed() bool {
 	return false
 }
 
-// envelope is the checksummed line framing.
-type envelope struct {
-	Sum    string          `json:"sum"`
-	Header json.RawMessage `json:"header,omitempty"`
-	Task   json.RawMessage `json:"task,omitempty"`
-}
-
-// checksum fingerprints a payload for the line frame.
-func checksum(payload []byte) string {
-	return fmt.Sprintf("crc32:%08x", crc32.ChecksumIEEE(payload))
-}
-
-// frame renders one journal line for a payload.
-func frame(kind string, payload any) ([]byte, error) {
-	body, err := json.Marshal(payload)
-	if err != nil {
-		return nil, err
-	}
-	line, err := json.Marshal(envelope{Sum: checksum(body)})
-	if err != nil {
-		return nil, err
-	}
-	// Splice the payload under its kind key without re-encoding it:
-	// the checksum must cover the exact bytes a reader will see.
-	var buf bytes.Buffer
-	buf.Write(line[:len(line)-1]) // drop the closing brace
-	fmt.Fprintf(&buf, ",%q:", kind)
-	buf.Write(body)
-	buf.WriteString("}\n")
-	return buf.Bytes(), nil
-}
-
-// Journal is an open campaign journal. Appends are mutex-serialized,
-// flushed and fsynced per record.
+// Journal is an open campaign journal: a typed view of a durable.Log
+// whose records are framed task outcomes.
 type Journal struct {
 	path string
-
-	mu       sync.Mutex
-	f        *os.File
-	appended int
+	log  *durable.Log
 }
 
-// Create writes a fresh journal for the run atomically (temp-file +
-// rename) and returns it open for appending. An existing file at path
-// is replaced: a non-resume run with -checkpoint starts a new campaign.
+// Create writes a fresh journal for the run atomically and returns it
+// open for appending. An existing file at path is replaced: a
+// non-resume run with -checkpoint starts a new campaign.
 func Create(path string, h Header) (*Journal, error) {
 	h.Schema = Schema
-	line, err := frame("header", h)
+	line, err := durable.Frame("header", h)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: encoding journal header: %w", err)
 	}
-	if err := writeAtomic(path, line); err != nil {
-		return nil, fmt.Errorf("campaign: creating journal: %w", err)
-	}
-	return open(path)
+	return create(path, line)
 }
 
-// open opens an existing journal file for appending.
-func open(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+// create publishes a journal's content (header plus any records) and
+// opens it for appending.
+func create(path string, data []byte) (*Journal, error) {
+	l, err := durable.Create(path, data)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: opening journal: %w", err)
+		return nil, fmt.Errorf("campaign: writing journal: %w", err)
 	}
-	return &Journal{path: path, f: f}, nil
-}
-
-// writeAtomic writes data to path via a sibling temp file, fsync and
-// rename, so path either holds the complete content or its old one.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return &Journal{path: path, log: l}, nil
 }
 
 // Load reads a journal tolerantly: it returns the header, every valid
@@ -177,100 +116,56 @@ func Load(path string) (h Header, recs []TaskRecord, torn bool, err error) {
 	if err != nil {
 		return Header{}, nil, false, fmt.Errorf("campaign: reading journal: %w", err)
 	}
-	lines := bytes.Split(data, []byte("\n"))
-	var pending error
 	sawHeader := false
-	for i, raw := range lines {
-		line := bytes.TrimSpace(raw)
-		if len(line) == 0 {
-			continue
-		}
-		if pending != nil {
-			// Content after a bad line: mid-file corruption, not a torn
-			// tail.
-			return Header{}, nil, false, pending
-		}
-		rec, perr := parseLine(line, i+1)
-		if perr != nil {
-			pending = perr
-			continue
-		}
-		switch {
-		case rec.Header != nil:
+	torn, err = durable.Scan(data, durable.ParseFrame, func(n int, r durable.Record) error {
+		switch r.Kind {
+		case "header":
 			if sawHeader {
-				return Header{}, nil, false, fmt.Errorf("campaign: journal line %d: duplicate header", i+1)
+				return fmt.Errorf("line %d: duplicate header", n)
 			}
-			if err := json.Unmarshal(rec.Header, &h); err != nil {
-				return Header{}, nil, false, fmt.Errorf("campaign: journal line %d: bad header: %w", i+1, err)
+			if err := json.Unmarshal(r.Payload, &h); err != nil {
+				return fmt.Errorf("line %d: bad header: %w", n, err)
 			}
 			if h.Schema != Schema {
-				return Header{}, nil, false, fmt.Errorf("campaign: journal schema %q, want %q", h.Schema, Schema)
+				return fmt.Errorf("schema %q, want %q", h.Schema, Schema)
 			}
 			sawHeader = true
-		case rec.Task != nil:
+		case "task":
 			if !sawHeader {
-				return Header{}, nil, false, fmt.Errorf("campaign: journal line %d: task record before header", i+1)
+				return fmt.Errorf("line %d: task record before header", n)
 			}
 			var tr TaskRecord
-			if err := json.Unmarshal(rec.Task, &tr); err != nil {
-				return Header{}, nil, false, fmt.Errorf("campaign: journal line %d: bad task record: %w", i+1, err)
+			if err := json.Unmarshal(r.Payload, &tr); err != nil {
+				return fmt.Errorf("line %d: bad task record: %w", n, err)
 			}
 			recs = append(recs, tr)
+		default:
+			return fmt.Errorf("line %d: unknown record kind %q", n, r.Kind)
 		}
+		return nil
+	})
+	if err != nil {
+		return Header{}, nil, false, fmt.Errorf("campaign: journal %w", err)
 	}
 	if !sawHeader {
-		if pending != nil {
-			return Header{}, nil, false, fmt.Errorf("campaign: journal has no intact header: %w", pending)
-		}
-		return Header{}, nil, false, fmt.Errorf("campaign: journal %s has no header", path)
+		return Header{}, nil, false, fmt.Errorf("campaign: journal %s has no intact header", path)
 	}
-	return h, recs, pending != nil, nil
-}
-
-// parseLine decodes and checksum-verifies one framed line.
-func parseLine(line []byte, n int) (envelope, error) {
-	var env envelope
-	if err := json.Unmarshal(line, &env); err != nil {
-		return envelope{}, fmt.Errorf("campaign: journal line %d: %w", n, err)
-	}
-	payload := env.Header
-	if payload == nil {
-		payload = env.Task
-	}
-	if payload == nil {
-		return envelope{}, fmt.Errorf("campaign: journal line %d: neither header nor task", n)
-	}
-	if got := checksum(payload); got != env.Sum {
-		return envelope{}, fmt.Errorf("campaign: journal line %d: checksum %s, recorded %s", n, got, env.Sum)
-	}
-	return env, nil
+	return h, recs, torn, nil
 }
 
 // Append journals one task outcome, fsyncing before it returns so a
 // crash immediately after cannot lose the record. It returns the total
 // number of records appended by this process — the crash point's clock.
 func (j *Journal) Append(rec TaskRecord) (int, error) {
-	line, err := frame("task", rec)
+	line, err := durable.Frame("task", rec)
 	if err != nil {
 		return 0, fmt.Errorf("campaign: encoding task record %s: %w", rec.ID, err)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
-		return j.appended, fmt.Errorf("campaign: appending %s: %w", rec.ID, err)
+	n, err := j.log.Append(line)
+	if err != nil {
+		return n, fmt.Errorf("campaign: appending %s: %w", rec.ID, err)
 	}
-	if err := j.f.Sync(); err != nil {
-		return j.appended, fmt.Errorf("campaign: syncing journal: %w", err)
-	}
-	j.appended++
-	return j.appended, nil
-}
-
-// Sync flushes the journal file.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Sync()
+	return n, nil
 }
 
 // Close closes the journal file.
@@ -278,9 +173,7 @@ func (j *Journal) Close() error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
+	return j.log.Close()
 }
 
 // Path returns the journal's file path.

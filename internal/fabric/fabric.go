@@ -20,7 +20,8 @@
 // refuses an assignment whose identity basis disagrees with its own
 // flags (mirroring campaign.Resume's refusal of a foreign journal) and
 // otherwise answers with a stream of CRC-framed JSONL lines — the
-// campaign journal's exact framing reused as the wire format:
+// internal/durable frame the campaign journal uses, reused as the wire
+// format:
 //
 //	{"sum":"crc32:<8 hex>","task":{...campaign.TaskRecord...}}
 //	{"sum":"crc32:<8 hex>","lease":{"task":"fig6"}}
@@ -40,8 +41,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
-
-	"branchscope/internal/campaign"
 )
 
 // Schema versions the fabric wire protocol; bump on incompatible
@@ -52,7 +51,7 @@ const Schema = "branchscope.fabric/v1"
 // mounted under the worker's obs HTTP server.
 const RunPath = "/fabric/run"
 
-// Wire frame kinds carried by campaign.Frame/ParseFrame on top of the
+// Wire frame kinds carried by durable.Frame/ParseFrame on top of the
 // journal's "task" records.
 const (
 	// KindTask frames one finished campaign.TaskRecord.
@@ -109,9 +108,4 @@ func configJSON(cfg map[string]any) (string, error) {
 		return "", fmt.Errorf("fabric: identity config not marshalable: %w", err)
 	}
 	return string(b), nil
-}
-
-// frameRecord renders one task-record wire line.
-func frameRecord(rec campaign.TaskRecord) ([]byte, error) {
-	return campaign.Frame(KindTask, rec)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"branchscope/internal/campaign"
+	"branchscope/internal/durable"
 	"branchscope/internal/engine"
 )
 
@@ -137,7 +138,7 @@ func (wk *Worker) serveRun(w http.ResponseWriter, r *http.Request) {
 		stop := wk.heartbeat(sw, t.ID, a.Lease())
 		rep := wk.Runner.RunTask(r.Context(), t, cfg)
 		stop()
-		line, err := frameRecord(campaign.RecordOf(rep))
+		line, err := durable.Frame(KindTask, campaign.RecordOf(rep))
 		if err != nil {
 			wk.logf("fabric: worker: encoding %s outcome: %v", t.ID, err)
 			return
@@ -178,7 +179,7 @@ func (wk *Worker) heartbeat(sw *streamWriter, taskID string, lease time.Duration
 			case <-done:
 				return
 			case <-tick.C:
-				line, err := campaign.Frame(KindLease, Heartbeat{Task: taskID})
+				line, err := durable.Frame(KindLease, Heartbeat{Task: taskID})
 				if err != nil {
 					return
 				}

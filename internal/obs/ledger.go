@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -14,6 +13,7 @@ import (
 	"strings"
 	"sync"
 
+	"branchscope/internal/durable"
 	"branchscope/internal/telemetry"
 )
 
@@ -125,37 +125,27 @@ func (l *Ledger) Append(rec LedgerRecord) error {
 // ReadLedger parses a branchscope.ledger/v1 JSONL stream. A ledger is
 // an append-only crash-safety artifact: a process killed mid-append
 // leaves a truncated final line behind, and that must not cost the
-// reader every record before it. A malformed line is therefore
-// tolerated — and reported via torn — if and only if nothing but blank
-// lines follows it; a malformed line in the middle of the stream is
-// real corruption and fails the parse.
+// reader every record before it. Lines are recovered under the
+// durable.Scan torn-tail policy: a malformed final line is dropped and
+// reported via torn; a malformed line with content after it fails the
+// parse.
 func ReadLedger(r io.Reader) (recs []LedgerRecord, torn bool, err error) {
-	sc := bufio.NewScanner(r)
-	// Records embed full metrics snapshots; lines run far past the
-	// default 64 KiB token limit.
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var pending error // a bad line, fatal only if more content follows
-	line := 0
-	for sc.Scan() {
-		line++
-		b := bytes.TrimSpace(sc.Bytes())
-		if len(b) == 0 {
-			continue
-		}
-		if pending != nil {
-			return nil, false, pending
-		}
-		var rec LedgerRecord
-		if uerr := json.Unmarshal(b, &rec); uerr != nil {
-			pending = fmt.Errorf("obs: ledger line %d: %w", line, uerr)
-			continue
-		}
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, false, fmt.Errorf("obs: reading ledger: %w", err)
+	}
+	decode := func(line []byte) (rec LedgerRecord, err error) {
+		err = json.Unmarshal(line, &rec)
+		return rec, err
+	}
+	torn, err = durable.Scan(data, decode, func(_ int, rec LedgerRecord) error {
 		recs = append(recs, rec)
+		return nil
+	})
+	if err != nil {
+		return nil, false, fmt.Errorf("obs: ledger %w", err)
 	}
-	if serr := sc.Err(); serr != nil {
-		return nil, false, fmt.Errorf("obs: reading ledger: %w", serr)
-	}
-	return recs, pending != nil, nil
+	return recs, torn, nil
 }
 
 // DeltaRecorder attributes registry deltas to tasks: Begin snapshots

@@ -7,7 +7,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -158,53 +157,6 @@ func TestDigestStable(t *testing.T) {
 	}
 	if len(a) != len("sha256:")+64 {
 		t.Errorf("digest shape = %q", a)
-	}
-}
-
-// TestReadLedgerToleratesTornTail is the torn-file regression test: a
-// process killed mid-append leaves a truncated final JSONL line, and
-// the reader must surface every intact record plus a torn flag instead
-// of failing the whole file. Damage with further content after it is
-// real corruption and stays fatal.
-func TestReadLedgerToleratesTornTail(t *testing.T) {
-	intact := `{"schema":"` + LedgerSchema + `","program":"p","id":"a","config":null,"base_seed":1,"seed":1,"outcome":"ok","wall_seconds":0}` + "\n" +
-		`{"schema":"` + LedgerSchema + `","program":"p","id":"b","config":null,"base_seed":1,"seed":2,"outcome":"ok","wall_seconds":0}` + "\n"
-
-	// A clean file: all records, no torn flag.
-	recs, torn, err := ReadLedger(strings.NewReader(intact))
-	if err != nil || torn || len(recs) != 2 {
-		t.Fatalf("clean ledger: recs=%d torn=%v err=%v", len(recs), torn, err)
-	}
-
-	// The same file with a truncated final append.
-	tornFile := intact + `{"schema":"` + LedgerSchema + `","program":"p","id":"c","conf`
-	recs, torn, err = ReadLedger(strings.NewReader(tornFile))
-	if err != nil {
-		t.Fatalf("torn tail must not fail the read: %v", err)
-	}
-	if !torn {
-		t.Error("torn tail not flagged")
-	}
-	if len(recs) != 2 || recs[0].ID != "a" || recs[1].ID != "b" {
-		t.Errorf("intact records lost: %+v", recs)
-	}
-
-	// Trailing blank lines after the torn line are still a torn tail.
-	recs, torn, err = ReadLedger(strings.NewReader(tornFile + "\n\n"))
-	if err != nil || !torn || len(recs) != 2 {
-		t.Errorf("blank lines after torn tail: recs=%d torn=%v err=%v", len(recs), torn, err)
-	}
-
-	// Damage mid-file — content after the bad line — is fatal.
-	corrupt := `{"schema":"` + LedgerSchema + `","program":"p","id":"a","conf` + "\n" + intact
-	if _, _, err := ReadLedger(strings.NewReader(corrupt)); err == nil {
-		t.Error("mid-file corruption read without error")
-	}
-
-	// An empty ledger is valid and empty.
-	recs, torn, err = ReadLedger(strings.NewReader(""))
-	if err != nil || torn || len(recs) != 0 {
-		t.Errorf("empty ledger: recs=%d torn=%v err=%v", len(recs), torn, err)
 	}
 }
 

@@ -1,12 +1,15 @@
 package runstore
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"branchscope/internal/durable"
 )
 
 // kindPolicy fixes each artifact kind's archived name, whether its
@@ -130,9 +133,11 @@ func (a *Archiver) AddBlob(kind string, data []byte) {
 }
 
 // Write materializes the archive: it creates <dir>/<run-id>/, copies
-// every scheduled file, writes every blob, and writes the manifest
-// last via temp-file+rename — a run directory with a manifest is
-// complete by construction. Returns the run directory.
+// every scheduled file and writes every blob, fsyncing each, publishes
+// the manifest with durable.WriteFile, which syncs the run directory,
+// and syncs the run directory's entry in <dir> — a run directory with
+// a manifest is complete by construction, across power loss too.
+// Returns the run directory.
 func (a *Archiver) Write() (string, error) {
 	if a == nil {
 		return "", nil
@@ -154,7 +159,7 @@ func (a *Archiver) Write() (string, error) {
 		if !ok {
 			return "", fmt.Errorf("runstore: unknown artifact kind %q", b.kind)
 		}
-		if err := os.WriteFile(filepath.Join(runDir, pol.name), b.data, 0o644); err != nil {
+		if err := writeArtifact(filepath.Join(runDir, pol.name), bytes.NewReader(b.data)); err != nil {
 			return "", fmt.Errorf("runstore: archiving %s: %w", pol.name, err)
 		}
 		art := Artifact{Kind: b.kind, Name: pol.name, Volatile: pol.volatile}
@@ -190,50 +195,45 @@ func (a *Archiver) Write() (string, error) {
 	}
 	sort.Slice(m.Artifacts, func(i, j int) bool { return m.Artifacts[i].Name < m.Artifacts[j].Name })
 
-	if err := writeManifestAtomic(filepath.Join(runDir, ManifestName), m); err != nil {
+	var buf bytes.Buffer
+	if err := WriteManifest(&buf, m); err != nil {
 		return "", err
+	}
+	if err := durable.WriteFile(filepath.Join(runDir, ManifestName), buf.Bytes()); err != nil {
+		return "", fmt.Errorf("runstore: publishing manifest: %w", err)
+	}
+	// Last: until Write returns, losing the whole run directory is a
+	// consistent outcome, and on a journaling file system the run
+	// directory's sync above has usually committed the mkdir already,
+	// which makes this sync cheap.
+	if err := durable.SyncDir(a.dir); err != nil {
+		return "", fmt.Errorf("runstore: syncing archive: %w", err)
 	}
 	return runDir, nil
 }
 
-// writeManifestAtomic writes the manifest via a sibling temp file,
-// fsync and rename, mirroring the campaign journal's creation path.
-func writeManifestAtomic(path string, m Manifest) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ManifestName+".tmp*")
-	if err != nil {
-		return fmt.Errorf("runstore: writing manifest: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := WriteManifest(tmp, m); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("runstore: syncing manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("runstore: closing manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("runstore: publishing manifest: %w", err)
-	}
-	return nil
-}
-
-// copyFile copies src to dst, truncating dst.
+// copyFile copies src to the artifact dst.
 func copyFile(src, dst string) error {
 	in, err := os.Open(src)
 	if err != nil {
 		return err
 	}
 	defer in.Close()
+	return writeArtifact(dst, in)
+}
+
+// writeArtifact writes r to dst, truncating it, and fsyncs it: the
+// manifest that names it must not become durable before it does.
+func writeArtifact(dst string, r io.Reader) error {
 	out, err := os.Create(dst)
 	if err != nil {
 		return err
 	}
-	if _, err := io.Copy(out, in); err != nil {
+	if _, err := io.Copy(out, r); err != nil {
+		out.Close()
+		return err
+	}
+	if err := out.Sync(); err != nil {
 		out.Close()
 		return err
 	}

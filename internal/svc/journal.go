@@ -1,34 +1,30 @@
 package svc
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sync"
 
-	"branchscope/internal/campaign"
+	"branchscope/internal/durable"
 )
 
 // JournalSchema versions the service journal; bump on incompatible
 // change.
 const JournalSchema = "branchscope.svc/v1"
 
-// The service journal reuses the campaign journal's CRC-framed JSONL
-// lines (campaign.Frame/ParseFrame) with its own kinds:
+// The service journal uses the internal/durable CRC frame with its
+// own kinds:
 //
 //	{"sum":"crc32:...","svc":{"schema":"branchscope.svc/v1"}}  (header)
 //	{"sum":"crc32:...","job":{...jobRecord...}}                (submit)
 //	{"sum":"crc32:...","start":{"id":"job-000001"}}            (begin)
 //	{"sum":"crc32:...","done":{"id":...,"state":...,"reason":...}}
 //
-// Like the campaign journal it is fsynced per append, torn-tail
-// tolerant, and created atomically — the restart-recovery contract
-// (queued jobs resume, running jobs settle failed with a reason)
-// depends on the submit record being durable before the client sees
-// its 201.
+// It is a durable.Log: published whole at open, fsynced per append
+// (the first append also syncs its directory entry), torn-tail
+// tolerant — the restart-recovery contract (queued jobs resume,
+// running jobs settle failed with a reason) depends on the submit
+// record being durable before the client sees its 201.
 const (
 	kindHeader = "svc"
 	kindJob    = "job"
@@ -55,12 +51,8 @@ type svcHeader struct {
 	Schema string `json:"schema"`
 }
 
-// journal is the open service journal; appends are mutex-serialized
-// and fsynced, mirroring campaign.Journal.
-type journal struct {
-	mu sync.Mutex
-	f  *os.File
-}
+// journal is the open service journal.
+type journal struct{ log *durable.Log }
 
 // recoveredJob is one job reconstructed from the journal.
 type recoveredJob struct {
@@ -70,146 +62,116 @@ type recoveredJob struct {
 	reason  string
 }
 
-// openJournal opens (creating if absent) the service journal and
+// openJournal opens the service journal, creating it if absent, and
 // replays it: every intact record is returned in submit order, a torn
-// final line is dropped, and the surviving content is compacted back
-// to disk so the reopened file is clean before new appends land.
-func openJournal(path string) (*journal, []recoveredJob, error) {
+// final line is dropped (and reported), and the surviving content is
+// republished so the reopened file is clean before new appends land.
+func openJournal(path string) (j *journal, jobs []recoveredJob, torn bool, err error) {
 	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		line, ferr := campaign.Frame(kindHeader, svcHeader{Schema: JournalSchema})
-		if ferr != nil {
-			return nil, nil, fmt.Errorf("svc: encoding journal header: %w", ferr)
-		}
-		if werr := writeAtomic(path, line); werr != nil {
-			return nil, nil, fmt.Errorf("svc: creating journal: %w", werr)
-		}
-		j, oerr := openAppend(path)
-		return j, nil, oerr
+	if err != nil && !os.IsNotExist(err) {
+		return nil, nil, false, fmt.Errorf("svc: reading journal: %w", err)
 	}
+	// A missing file replays like an empty one: no jobs, header only.
+	if jobs, torn, err = replayJournal(data); err != nil {
+		return nil, nil, false, err
+	}
+	buf, err := durable.Frame(kindHeader, svcHeader{Schema: JournalSchema})
 	if err != nil {
-		return nil, nil, fmt.Errorf("svc: reading journal: %w", err)
+		return nil, nil, false, fmt.Errorf("svc: encoding journal header: %w", err)
 	}
-
-	jobs, err := replayJournal(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Compact: rewrite the surviving intact lines atomically, dropping
-	// a torn tail before new appends could bury it mid-file.
-	var buf bytes.Buffer
-	line, err := campaign.Frame(kindHeader, svcHeader{Schema: JournalSchema})
-	if err != nil {
-		return nil, nil, fmt.Errorf("svc: re-encoding journal header: %w", err)
-	}
-	buf.Write(line)
 	for _, rj := range jobs {
-		if err := appendFrames(&buf, rj); err != nil {
-			return nil, nil, err
+		if buf, err = appendFrames(buf, rj); err != nil {
+			return nil, nil, false, err
 		}
 	}
-	if err := writeAtomic(path, buf.Bytes()); err != nil {
-		return nil, nil, fmt.Errorf("svc: compacting journal: %w", err)
+	l, err := durable.Create(path, buf)
+	if err != nil {
+		return nil, nil, false, fmt.Errorf("svc: writing journal: %w", err)
 	}
-	j, err := openAppend(path)
-	return j, jobs, err
+	return &journal{log: l}, jobs, torn, nil
 }
 
-// appendFrames re-frames one recovered job's surviving records.
-func appendFrames(buf *bytes.Buffer, rj recoveredJob) error {
-	line, err := campaign.Frame(kindJob, rj.rec)
+// appendFrames re-frames one recovered job's surviving records onto
+// buf.
+func appendFrames(buf []byte, rj recoveredJob) ([]byte, error) {
+	line, err := durable.Frame(kindJob, rj.rec)
 	if err != nil {
-		return fmt.Errorf("svc: re-encoding job %s: %w", rj.rec.ID, err)
+		return nil, fmt.Errorf("svc: re-encoding job %s: %w", rj.rec.ID, err)
 	}
-	buf.Write(line)
+	buf = append(buf, line...)
 	if rj.started {
-		line, err = campaign.Frame(kindStart, markRecord{ID: rj.rec.ID})
+		line, err = durable.Frame(kindStart, markRecord{ID: rj.rec.ID})
 		if err != nil {
-			return fmt.Errorf("svc: re-encoding start %s: %w", rj.rec.ID, err)
+			return nil, fmt.Errorf("svc: re-encoding start %s: %w", rj.rec.ID, err)
 		}
-		buf.Write(line)
+		buf = append(buf, line...)
 	}
 	if rj.state != "" {
-		line, err = campaign.Frame(kindDone, markRecord{ID: rj.rec.ID, State: rj.state, Reason: rj.reason})
+		line, err = durable.Frame(kindDone, markRecord{ID: rj.rec.ID, State: rj.state, Reason: rj.reason})
 		if err != nil {
-			return fmt.Errorf("svc: re-encoding done %s: %w", rj.rec.ID, err)
+			return nil, fmt.Errorf("svc: re-encoding done %s: %w", rj.rec.ID, err)
 		}
-		buf.Write(line)
+		buf = append(buf, line...)
 	}
-	return nil
+	return buf, nil
 }
 
 // replayJournal folds the journal lines into per-job recovery state.
-// A torn final line is dropped; a corrupt line anywhere earlier is
-// real damage and fails the load, matching campaign.Load.
-func replayJournal(data []byte) ([]recoveredJob, error) {
+// The header must come first and only once. A torn final line is
+// dropped and reported; a corrupt line anywhere earlier is real damage
+// and fails the load, matching campaign.Load. Empty data replays as a
+// journal with no jobs.
+func replayJournal(data []byte) ([]recoveredJob, bool, error) {
 	var jobs []recoveredJob
-	byID := map[string]*recoveredJob{}
-	var pending error
+	byID := map[string]int{} // index into jobs, which appends reallocate
 	sawHeader := false
-	for i, raw := range bytes.Split(data, []byte("\n")) {
-		line := bytes.TrimSpace(raw)
-		if len(line) == 0 {
-			continue
+	torn, err := durable.Scan(data, durable.ParseFrame, func(n int, r durable.Record) error {
+		if r.Kind != kindHeader && !sawHeader {
+			return fmt.Errorf("line %d: %s record before header", n, r.Kind)
 		}
-		if pending != nil {
-			return nil, pending
-		}
-		kind, payload, err := campaign.ParseFrame(line)
-		if err != nil {
-			pending = fmt.Errorf("svc: journal line %d: %w", i+1, err)
-			continue
-		}
-		switch kind {
+		switch r.Kind {
 		case kindHeader:
+			if sawHeader {
+				return fmt.Errorf("line %d: duplicate header", n)
+			}
 			var h svcHeader
-			if err := json.Unmarshal(payload, &h); err != nil {
-				return nil, fmt.Errorf("svc: journal line %d: bad header: %w", i+1, err)
+			if err := json.Unmarshal(r.Payload, &h); err != nil {
+				return fmt.Errorf("line %d: bad header: %w", n, err)
 			}
 			if h.Schema != JournalSchema {
-				return nil, fmt.Errorf("svc: journal schema %q, want %q", h.Schema, JournalSchema)
+				return fmt.Errorf("schema %q, want %q", h.Schema, JournalSchema)
 			}
 			sawHeader = true
 		case kindJob:
 			var rec jobRecord
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return nil, fmt.Errorf("svc: journal line %d: bad job record: %w", i+1, err)
+			if err := json.Unmarshal(r.Payload, &rec); err != nil {
+				return fmt.Errorf("line %d: bad job record: %w", n, err)
 			}
+			byID[rec.ID] = len(jobs)
 			jobs = append(jobs, recoveredJob{rec: rec})
-			byID[rec.ID] = &jobs[len(jobs)-1]
-		case kindStart:
+		case kindStart, kindDone:
 			var m markRecord
-			if err := json.Unmarshal(payload, &m); err != nil {
-				return nil, fmt.Errorf("svc: journal line %d: bad start record: %w", i+1, err)
+			if err := json.Unmarshal(r.Payload, &m); err != nil {
+				return fmt.Errorf("line %d: bad %s record: %w", n, r.Kind, err)
 			}
-			if rj := byID[m.ID]; rj != nil {
-				rj.started = true
+			i, ok := byID[m.ID]
+			if !ok {
+				return nil // a mark for a job the journal never submitted
 			}
-		case kindDone:
-			var m markRecord
-			if err := json.Unmarshal(payload, &m); err != nil {
-				return nil, fmt.Errorf("svc: journal line %d: bad done record: %w", i+1, err)
-			}
-			if rj := byID[m.ID]; rj != nil {
-				rj.state, rj.reason = m.State, m.Reason
+			if r.Kind == kindStart {
+				jobs[i].started = true
+			} else {
+				jobs[i].state, jobs[i].reason = m.State, m.Reason
 			}
 		default:
-			return nil, fmt.Errorf("svc: journal line %d: unknown kind %q", i+1, kind)
+			return fmt.Errorf("line %d: unknown kind %q", n, r.Kind)
 		}
-	}
-	if !sawHeader && len(data) > 0 && pending == nil {
-		return nil, errors.New("svc: journal has no header")
-	}
-	return jobs, nil
-}
-
-// openAppend opens the journal file for appending.
-func openAppend(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("svc: opening journal: %w", err)
+		return nil, false, fmt.Errorf("svc: journal %w", err)
 	}
-	return &journal{f: f}, nil
+	return jobs, torn, nil
 }
 
 // append frames and fsyncs one record. Nil-safe: a service without a
@@ -218,17 +180,12 @@ func (j *journal) append(kind string, payload any) error {
 	if j == nil {
 		return nil
 	}
-	line, err := campaign.Frame(kind, payload)
+	line, err := durable.Frame(kind, payload)
 	if err != nil {
 		return fmt.Errorf("svc: encoding %s record: %w", kind, err)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
+	if _, err := j.log.Append(line); err != nil {
 		return fmt.Errorf("svc: appending %s record: %w", kind, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("svc: syncing journal: %w", err)
 	}
 	return nil
 }
@@ -238,29 +195,5 @@ func (j *journal) close() error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
-
-// writeAtomic writes data via sibling temp file + fsync + rename,
-// mirroring the campaign journal's creation path.
-func writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "svc-journal.tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return j.log.Close()
 }

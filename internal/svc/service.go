@@ -268,9 +268,13 @@ func (s *Service) Start(cfg Config) error {
 	s.running = map[string]int{}
 
 	if cfg.JournalPath != "" {
-		jnl, recovered, err := openJournal(cfg.JournalPath)
+		jnl, recovered, torn, err := openJournal(cfg.JournalPath)
 		if err != nil {
 			return err
+		}
+		if torn {
+			s.log.Warn("service journal had a torn final record (crash mid-append); dropped it",
+				"path", cfg.JournalPath)
 		}
 		s.jnl = jnl
 		s.mu.Lock()
